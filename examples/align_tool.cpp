@@ -3,13 +3,18 @@
 // Part of the balign project (PLDI 1997 branch-alignment reproduction).
 //
 // Reads a program in the textual CFG format, profiles it with a seeded
-// synthetic run, aligns every procedure with the requested method, and
-// prints a per-procedure penalty report plus the aligned block orders.
+// synthetic run, aligns every procedure through the alignment pipeline,
+// and prints the aligned block orders plus a per-procedure penalty
+// report: original, greedy, and the --aligner primary side by side.
+// Every mode (one-shot, --cache, --batch, the shield flags) prints that
+// same report, and an `align_tool --serve` reply to the same request is
+// byte-identical to the one-shot stdout.
 //
 // Usage:
 //   align_tool <program.cfg> [--aligner greedy|tsp|cg|original|exttsp]
 //              [--objective fallthrough|exttsp] [--exttsp-window N]
-//              [--exttsp-weights F,B]
+//              [--exttsp-weights F,B] [--encoding fixed|short-long]
+//              [--short-range N]
 //              [--budget N] [--seed N] [--threads N] [--dot] [--bounds]
 //              [--profile FILE] [--emit-profile FILE]
 //              [--cache DIR] [--cache-stats] [--batch FILE]
@@ -27,13 +32,11 @@
 // by a content fingerprint of their inputs; a second run over unchanged
 // inputs replays them without invoking the solver. --batch FILE aligns
 // many programs (one "prog.cfg [profile.prof]" per line) through one
-// shared cache session. Both run the full alignment pipeline, so
-// --aligner is ignored there (the report shows greedy and TSP side by
-// side). --cache-stats prints the hit/miss counters to stderr, keeping
-// stdout byte-comparable between cold and warm runs.
+// shared cache session. --cache-stats prints the hit/miss counters to
+// stderr, keeping stdout byte-comparable between cold and warm runs.
 //
-// The balign-shield flags (--on-error, --time-budget, --deadline) also
-// run the full pipeline. Exit-code contract:
+// The balign-shield flags (--on-error, --time-budget, --deadline) add a
+// degradation report on stderr; stdout is unchanged. Exit-code contract:
 //
 //   0  success (including runs that degraded procedures under
 //      --on-error=fallback/skip — degradations are reported on stderr)
@@ -57,33 +60,22 @@
 //
 //===--------------------------------------------------------------------===//
 
-#include "align/Aligners.h"
-#include "align/Bounds.h"
-#include "align/Penalty.h"
 #include "analysis/PipelineVerifier.h"
 #include "cache/Store.h"
-#include "ir/Dot.h"
 #include "ir/TextFormat.h"
-#include "machine/MachineModel.h"
 #include "profile/ProfileIO.h"
-#include "profile/Trace.h"
 #include "robust/FaultInjector.h"
 #include "robust/Journal.h"
 #include "serve/Oneshot.h"
+#include "serve/RequestFlags.h"
 #include "serve/Server.h"
-#include "static/EffortPolicy.h"
 #include "static/Lint.h"
 #include "support/Flags.h"
-#include "support/Format.h"
-#include "support/Parse.h"
-#include "support/Table.h"
 #include "trace/Scope.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -120,40 +112,24 @@ enum class LintMode : uint8_t {
 
 struct ToolOptions {
   std::string File;
-  std::string AlignerName = "tsp";
-  bool AlignerGiven = false;   ///< Whether --aligner appeared at all.
 
-  // balign-objective flags. The window/weight knobs write into the
-  // MachineModel's Ext-TSP parameters; the objective picks what the
-  // exttsp aligner maximizes.
-  ObjectiveKind Objective = ObjectiveKind::ExtTsp;
-  bool ObjectiveGiven = false; ///< Whether --objective appeared at all.
-  uint64_t ExtTspWindow = 0;   ///< --exttsp-window; 0 = model defaults.
-  bool WeightsGiven = false;   ///< Whether --exttsp-weights appeared.
-  double ExtTspForwardWeight = 0.0;
-  double ExtTspBackwardWeight = 0.0;
+  /// The result-affecting flags (--seed, --budget, --bounds, --aligner,
+  /// the objective, encoding, and effort knobs, --on-error), parsed by
+  /// the parser balign_client shares and applied to the pipeline options
+  /// exactly as the server applies a request.
+  AlignRequest Request;
+  RequestFlagsSeen Seen;
 
-  // balign-displace flags. The encoding knobs write into the machine
-  // model; fingerprints absorb them only under a variable encoding.
-  BranchEncoding Encoding = BranchEncoding::Fixed;
-  bool EncodingGiven = false;   ///< Whether --encoding appeared at all.
-  uint64_t ShortRange = 0;      ///< --short-range value when given.
-  bool ShortRangeGiven = false; ///< Whether --short-range appeared.
   std::string ProfileFile;     ///< Read counts instead of simulating.
   std::string EmitProfileFile; ///< Dump the counts used.
   std::string CacheDir;        ///< Non-empty enables the disk cache.
   std::string BatchFile;       ///< Non-empty selects batch mode.
   bool CacheStats = false;     ///< Print cache counters to stderr.
-  uint64_t Budget = 50000;
-  uint64_t Seed = 1;
   unsigned Threads = 1; ///< Pipeline workers; 0 = hardware concurrency.
   bool EmitDot = false;
-  bool ComputeBounds = false;
   VerifyLevel Verify = VerifyLevel::None;
 
-  // balign-shield flags.
-  OnErrorPolicy OnError = OnErrorPolicy::Abort;
-  bool OnErrorGiven = false;   ///< Whether --on-error appeared at all.
+  // balign-shield flags (--on-error lives in Request).
   uint64_t TimeBudgetMs = 0;   ///< --time-budget: per-procedure budget.
   uint64_t DeadlineMs = 0;     ///< --deadline: whole-run budget.
   std::string CheckpointFile;  ///< --checkpoint: batch resume journal.
@@ -167,17 +143,16 @@ struct ToolOptions {
   // balign-lint flags. Lint output goes to stderr and --lint-json only.
   LintMode Lint = LintMode::Off;
   std::string LintJsonFile; ///< --lint-json: JSON report (implies lint).
-  EffortPolicy Effort = EffortPolicy::Uniform; ///< --effort-policy.
 
   // balign-serve flags.
   std::string ServePath;    ///< --serve: socket path, or "-" for stdio.
   uint64_t ServeQueue = 0;  ///< --serve-queue: align budget (0 = inf).
   uint64_t DrainTimeoutMs = 5000; ///< --drain-timeout: graceful budget.
 
-  /// True when any shield flag was given; forces the pipeline path and
-  /// enables the stderr shield report.
+  /// True when any shield flag was given; enables the stderr shield
+  /// report.
   bool shieldActive() const {
-    return OnErrorGiven || TimeBudgetMs != 0 || DeadlineMs != 0;
+    return Seen.OnError || TimeBudgetMs != 0 || DeadlineMs != 0;
   }
 
   /// True when any balign-scope flag was given; installs the session.
@@ -191,23 +166,14 @@ struct ToolOptions {
   }
 };
 
-bool parseOnErrorPolicy(const char *Text, OnErrorPolicy &Out) {
-  if (std::strcmp(Text, "abort") == 0)
-    Out = OnErrorPolicy::Abort;
-  else if (std::strcmp(Text, "fallback") == 0)
-    Out = OnErrorPolicy::Fallback;
-  else if (std::strcmp(Text, "skip") == 0)
-    Out = OnErrorPolicy::Skip;
-  else {
-    std::fprintf(stderr, "error: unknown --on-error policy '%s' "
-                 "(want abort, fallback, or skip)\n", Text);
-    return false;
-  }
-  return true;
-}
-
 bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
   for (int I = 1; I != Argc; ++I) {
+    FlagParse Shared =
+        parseRequestFlag(Argc, Argv, I, Options.Request, Options.Seen);
+    if (Shared == FlagParse::Error)
+      return false;
+    if (Shared == FlagParse::Ok)
+      continue;
     std::string Arg = Argv[I];
     auto needValue = [&](const char *Flag) -> const char * {
       return flagValue(Flag, Argc, Argv, I);
@@ -218,58 +184,7 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                        uint64_t Max = UINT64_MAX) -> bool {
       return flagUInt(Flag, Argc, Argv, I, Out, Max);
     };
-    if (Arg == "--aligner") {
-      const char *V = needValue("--aligner");
-      if (!V)
-        return false;
-      Options.AlignerName = V;
-      Options.AlignerGiven = true;
-    } else if (Arg == "--objective") {
-      const char *V = needValue("--objective");
-      if (!V)
-        return false;
-      if (!parseObjectiveKind(V, Options.Objective)) {
-        std::fprintf(stderr, "error: unknown --objective '%s' (want "
-                     "fallthrough or exttsp)\n", V);
-        return false;
-      }
-      Options.ObjectiveGiven = true;
-    } else if (Arg == "--exttsp-window") {
-      // A zero window would make every jump worthless and a huge one
-      // makes the linear decay meaningless; both are almost certainly
-      // typos, so the established exit-code contract rejects them.
-      if (!flagUIntInRange("--exttsp-window", Argc, Argv, I,
-                           Options.ExtTspWindow, 1, 1 << 20))
-        return false;
-    } else if (Arg == "--exttsp-weights") {
-      if (!flagDoublePair("--exttsp-weights", Argc, Argv, I,
-                          Options.ExtTspForwardWeight,
-                          Options.ExtTspBackwardWeight, 1024.0))
-        return false;
-      Options.WeightsGiven = true;
-    } else if (Arg == "--encoding") {
-      const char *V = needValue("--encoding");
-      if (!V)
-        return false;
-      if (!parseBranchEncoding(V, Options.Encoding)) {
-        std::fprintf(stderr, "error: unknown --encoding '%s' (want "
-                     "fixed or short-long)\n", V);
-        return false;
-      }
-      Options.EncodingGiven = true;
-    } else if (Arg == "--short-range") {
-      // 0 is legal and meaningful: it forces every branch long, the
-      // degenerate case the displacement tests pin.
-      if (!needInt("--short-range", Options.ShortRange))
-        return false;
-      Options.ShortRangeGiven = true;
-    } else if (Arg == "--budget") {
-      if (!needInt("--budget", Options.Budget))
-        return false;
-    } else if (Arg == "--seed") {
-      if (!needInt("--seed", Options.Seed))
-        return false;
-    } else if (Arg == "--threads") {
+    if (Arg == "--threads") {
       uint64_t N = 0;
       if (!needInt("--threads", N, UINT32_MAX))
         return false;
@@ -302,16 +217,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
       if (!V)
         return false;
       Options.BatchFile = V;
-    } else if (Arg == "--on-error") {
-      const char *V = needValue("--on-error");
-      if (!V || !parseOnErrorPolicy(V, Options.OnError))
-        return false;
-      Options.OnErrorGiven = true;
-    } else if (Arg.rfind("--on-error=", 0) == 0) {
-      if (!parseOnErrorPolicy(Arg.c_str() + std::strlen("--on-error="),
-                              Options.OnError))
-        return false;
-      Options.OnErrorGiven = true;
     } else if (Arg == "--time-budget") {
       if (!needInt("--time-budget", Options.TimeBudgetMs))
         return false;
@@ -349,15 +254,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
       if (!V)
         return false;
       Options.LintJsonFile = V;
-    } else if (Arg == "--effort-policy") {
-      const char *V = needValue("--effort-policy");
-      if (!V)
-        return false;
-      if (!parseEffortPolicy(V, Options.Effort)) {
-        std::fprintf(stderr, "error: unknown --effort-policy '%s' (want "
-                     "uniform, scaled, or scaled-cold-greedy)\n", V);
-        return false;
-      }
     } else if (Arg == "--serve") {
       const char *V = needValue("--serve");
       if (!V)
@@ -378,8 +274,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
         return false;
     } else if (Arg == "--dot") {
       Options.EmitDot = true;
-    } else if (Arg == "--bounds") {
-      Options.ComputeBounds = true;
     } else if (Arg == "--verify" || Arg == "--verify=full") {
       Options.Verify = VerifyLevel::Full;
     } else if (Arg == "--verify=quick") {
@@ -399,10 +293,12 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "[--profile FILE] [--emit-profile FILE]\n"
                   "                  [--cache DIR] [--cache-stats] "
                   "[--batch FILE]\n"
-                  "  --aligner exttsp  chain-merge on the Ext-TSP locality "
-                  "objective instead of\n"
-                  "                solving the DTSP (works in the pipeline "
-                  "modes too)\n"
+                  "  --aligner A   the primary layout, reported next to "
+                  "original and greedy:\n"
+                  "                tsp (default; the DTSP solve), exttsp "
+                  "(Ext-TSP chain merging),\n"
+                  "                cg (Calder-Grunwald), greedy, or "
+                  "original\n"
                   "  --objective O fallthrough|exttsp: what the exttsp "
                   "aligner maximizes\n"
                   "                (default exttsp)\n"
@@ -513,21 +409,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
   return true;
 }
 
-std::unique_ptr<Aligner> makeAligner(const std::string &Name,
-                                     ObjectiveKind Objective) {
-  if (Name == "greedy")
-    return std::make_unique<GreedyAligner>();
-  if (Name == "tsp")
-    return std::make_unique<TspAligner>();
-  if (Name == "cg")
-    return std::make_unique<CalderGrunwaldAligner>();
-  if (Name == "original")
-    return std::make_unique<OriginalAligner>();
-  if (Name == "exttsp")
-    return std::make_unique<ExtTspAligner>(Objective);
-  return nullptr;
-}
-
 std::optional<Program> loadProgram(const std::string &File,
                                    bool AnnounceDemo) {
   std::string Text;
@@ -575,33 +456,20 @@ std::optional<ProgramProfile> obtainProfile(const Program &Prog,
   }
   // The seeded synthetic run is shared with balign-serve (the server
   // must reproduce it bit-for-bit), so it lives in serve/Oneshot.h.
-  return synthesizeProfile(Prog, Options.Seed, Options.Budget);
-}
-
-/// The pipeline-based report used in cache and batch modes: all three
-/// layouts come from alignProgram (so warm caches replay them), with
-/// greedy and TSP side by side instead of one --aligner column.
-void reportPipelineAlignment(const Program &Prog,
-                             const ProgramProfile &Counts,
-                             const ProgramAlignment &Result,
-                             const ToolOptions &Options,
-                             const AlignmentOptions &AlignOptions) {
-  // Shared with balign-serve: an AlignOk response body must be
-  // byte-identical to this stdout, so both render through one function.
-  std::string Report = renderAlignmentReport(
-      Prog, Counts, Result, Options.ComputeBounds, Options.EmitDot,
-      primaryAlignerName(AlignOptions.Primary));
-  std::fwrite(Report.data(), 1, Report.size(), stdout);
+  return synthesizeProfile(Prog, Options.Request.Seed,
+                           Options.Request.Budget);
 }
 
 /// Runs --verify over one program; returns false when errors were found.
+/// The verify run always computes bounds, so the tour-bounds checks run
+/// whether or not --bounds was given.
 bool runVerified(const Program &Prog, const ProgramProfile &Counts,
-                 const ToolOptions &Options,
-                 const AlignmentOptions &AlignOptions) {
+                 const ToolOptions &Options, AlignmentOptions AlignOptions) {
   DiagnosticEngine Diags;
   Diags.setEchoToStderr(true);
   VerifyOptions Verify;
   Verify.Level = Options.Verify;
+  AlignOptions.ComputeBounds = true;
   alignProgramVerified(Prog, Counts, AlignOptions, Diags, Verify);
   std::printf("verify (%s): %s\n",
               Options.Verify == VerifyLevel::Full ? "full" : "quick",
@@ -655,9 +523,8 @@ void reportShieldOutcome(const ProgramAlignment &Result, size_t NumProcs) {
                Result.Failures.summary(NumProcs).c_str());
 }
 
-/// Cache/batch-mode alignment of one program: verify first when asked
-/// (which also warms the cache through the store path), then the
-/// pipeline report. \p AnySkipped (when given) reports whether any
+/// Aligns one program: verify first when asked, then the pipeline
+/// report. \p AnySkipped (when given) reports whether any
 /// procedure kept its original layout under --on-error skip — the
 /// checkpoint journal must not record such a program as done, or a
 /// resumed batch would never revisit the skipped work.
@@ -669,7 +536,12 @@ bool alignOneProgram(const Program &Prog, const ProgramProfile &Counts,
       !runVerified(Prog, Counts, Options, AlignOptions))
     return false;
   ProgramAlignment Result = alignProgram(Prog, Counts, AlignOptions);
-  reportPipelineAlignment(Prog, Counts, Result, Options, AlignOptions);
+  // Shared with balign-serve: an AlignOk response body must be
+  // byte-identical to this stdout, so both render through one function.
+  std::string Report = renderAlignmentReport(
+      Prog, Counts, Result, AlignOptions.ComputeBounds, Options.EmitDot,
+      primaryAlignerName(AlignOptions.Primary));
+  std::fwrite(Report.data(), 1, Report.size(), stdout);
   if (Options.shieldActive())
     reportShieldOutcome(Result, Prog.numProcedures());
   if (AnySkipped)
@@ -839,8 +711,7 @@ int runBatch(const ToolOptions &Options, AlignmentOptions &AlignOptions) {
   return 0;
 }
 
-int runAlignment(const ToolOptions &Options, AlignmentOptions &AlignOptions,
-                 bool UsePipeline);
+int runAlignment(const ToolOptions &Options, AlignmentOptions &AlignOptions);
 
 } // namespace
 
@@ -859,26 +730,7 @@ int main(int Argc, char **Argv) {
 
   int Exit = 0;
   {
-    // The shield flags run through alignProgram, so they force the
-    // pipeline path just like --cache/--batch.
-    bool UsePipeline = !Options.CacheDir.empty() ||
-                       !Options.BatchFile.empty() || Options.shieldActive();
-    if (UsePipeline && Options.AlignerGiven && Options.AlignerName != "tsp" &&
-        Options.AlignerName != "exttsp")
-      std::fprintf(stderr,
-                   "warning: --aligner %s is ignored with "
-                   "--cache/--batch/--on-error (the full pipeline reports "
-                   "greedy and tsp)\n",
-                   Options.AlignerName.c_str());
-    if (Options.ObjectiveGiven && Options.AlignerName != "exttsp")
-      std::fprintf(stderr,
-                   "warning: --objective only affects --aligner exttsp; "
-                   "ignored\n");
-    if (Options.ShortRangeGiven &&
-        Options.Encoding != BranchEncoding::ShortLong)
-      std::fprintf(stderr,
-                   "warning: --short-range only affects --encoding "
-                   "short-long; ignored\n");
+    warnIgnoredRequestFlags(Options.Request, Options.Seen);
     if (!Options.CheckpointFile.empty() && Options.BatchFile.empty())
       std::fprintf(stderr,
                    "warning: --checkpoint is only meaningful with --batch; "
@@ -891,34 +743,11 @@ int main(int Argc, char **Argv) {
 
     AlignmentOptions AlignOptions;
     AlignOptions.Model = MachineModel::alpha21164();
-    // The Ext-TSP knobs live on the machine model (and --aligner exttsp
-    // selects the pipeline's primary aligner), so they must be applied
-    // before the cache session is built: fingerprints absorb them.
-    if (Options.AlignerName == "exttsp")
-      AlignOptions.Primary = PrimaryAligner::ExtTsp;
-    AlignOptions.Objective = Options.Objective;
-    if (Options.ExtTspWindow) {
-      AlignOptions.Model.ExtTspForwardWindow =
-          static_cast<uint32_t>(Options.ExtTspWindow);
-      AlignOptions.Model.ExtTspBackwardWindow =
-          static_cast<uint32_t>(Options.ExtTspWindow);
-    }
-    if (Options.WeightsGiven) {
-      AlignOptions.Model.ExtTspForwardWeight = Options.ExtTspForwardWeight;
-      AlignOptions.Model.ExtTspBackwardWeight = Options.ExtTspBackwardWeight;
-    }
-    // The branch-encoding knobs (balign-displace) likewise live on the
-    // model and must precede the cache session: fingerprints absorb
-    // them under a variable encoding.
-    if (Options.EncodingGiven)
-      AlignOptions.Model.Encoding = Options.Encoding;
-    if (Options.ShortRangeGiven)
-      AlignOptions.Model.ShortBranchRange = Options.ShortRange;
-    AlignOptions.Solver.Seed = Options.Seed;
-    AlignOptions.ComputeBounds = Options.ComputeBounds;
+    // The request's objective and encoding knobs live on the machine
+    // model, so they must be applied before the cache session is built:
+    // fingerprints absorb them.
+    applyAlignRequest(Options.Request, AlignOptions);
     AlignOptions.Threads = Options.Threads;
-    AlignOptions.Effort = Options.Effort;
-    AlignOptions.OnError = Options.OnError;
     AlignOptions.ProcBudgetMs = Options.TimeBudgetMs;
     Deadline RunDeadline(Options.DeadlineMs);
     if (Options.DeadlineMs)
@@ -966,7 +795,7 @@ int main(int Argc, char **Argv) {
                    ? Server.serveStdio()
                    : Server.serveUnixSocket(Options.ServePath);
       } else {
-        Exit = runAlignment(Options, AlignOptions, UsePipeline);
+        Exit = runAlignment(Options, AlignOptions);
       }
     } catch (const AlignmentAborted &E) {
       // Exit 2 contract: a procedure failure under OnErrorPolicy::Abort
@@ -974,8 +803,9 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: alignment aborted: %s\n", E.what());
       Exit = 2;
     } catch (const FaultInjectedError &E) {
-      // The legacy single-aligner path has no per-procedure isolation;
-      // an injected fault escaping it is the same abort.
+      // The --verify passes replay solver and displacement stages
+      // outside the pipeline's per-procedure isolation; an injected
+      // fault escaping them is the same abort.
       std::fprintf(stderr, "error: alignment aborted: %s\n", E.what());
       Exit = 2;
     } catch (const DeadlineExceeded &E) {
@@ -1023,8 +853,7 @@ int main(int Argc, char **Argv) {
 
 namespace {
 
-int runAlignment(const ToolOptions &Options, AlignmentOptions &AlignOptions,
-                 bool UsePipeline) {
+int runAlignment(const ToolOptions &Options, AlignmentOptions &AlignOptions) {
   if (!Options.BatchFile.empty()) {
     if (!Options.File.empty())
       std::fprintf(stderr,
@@ -1032,114 +861,40 @@ int runAlignment(const ToolOptions &Options, AlignmentOptions &AlignOptions,
                    "mode\n",
                    Options.File.c_str());
     return runBatch(Options, AlignOptions);
-  } else {
-    std::optional<Program> Prog = loadProgram(Options.File, true);
-    if (!Prog)
+  }
+  std::optional<Program> Prog = loadProgram(Options.File, true);
+  if (!Prog)
+    return 1;
+  std::optional<ProgramProfile> Counts =
+      obtainProfile(*Prog, Options.ProfileFile, Options);
+  if (!Counts)
+    return 1;
+  if (!Options.EmitProfileFile.empty()) {
+    std::ofstream ProfOut(Options.EmitProfileFile);
+    if (!ProfOut) {
+      std::fprintf(stderr, "error: cannot write '%s'\n",
+                   Options.EmitProfileFile.c_str());
       return 1;
-    std::optional<ProgramProfile> Counts =
-        obtainProfile(*Prog, Options.ProfileFile, Options);
-    if (!Counts)
+    }
+    ProfOut << printProgramProfile(*Prog, *Counts);
+    std::printf("wrote profile to %s\n", Options.EmitProfileFile.c_str());
+  }
+
+  if (Options.lintActive()) {
+    LintResult LR = runLintChecks(
+        *Prog, *Counts, AlignOptions,
+        Options.File.empty() ? std::string("<demo>") : Options.File);
+    if (!Options.LintJsonFile.empty() &&
+        !writeTextFile(Options.LintJsonFile, lintReportJson(LR) + "\n"))
       return 1;
-    if (!Options.EmitProfileFile.empty()) {
-      std::ofstream ProfOut(Options.EmitProfileFile);
-      if (!ProfOut) {
-        std::fprintf(stderr, "error: cannot write '%s'\n",
-                     Options.EmitProfileFile.c_str());
-        return 1;
-      }
-      ProfOut << printProgramProfile(*Prog, *Counts);
-      std::printf("wrote profile to %s\n", Options.EmitProfileFile.c_str());
-    }
-
-    if (Options.lintActive()) {
-      LintResult LR = runLintChecks(
-          *Prog, *Counts, AlignOptions,
-          Options.File.empty() ? std::string("<demo>") : Options.File);
-      if (!Options.LintJsonFile.empty() &&
-          !writeTextFile(Options.LintJsonFile, lintReportJson(LR) + "\n"))
-        return 1;
-      if (Options.Lint == LintMode::Err && LR.failedAt(Severity::Error)) {
-        std::fprintf(stderr, "error: lint found errors; not aligning "
-                     "(use --lint=warn to report without gating)\n");
-        return 1;
-      }
-    }
-
-    if (UsePipeline) {
-      // --bounds changes the fingerprint (bounds are part of the cached
-      // artifact), and --verify always computes them; align the two so
-      // a verified run warms the cache the report then hits.
-      return alignOneProgram(*Prog, *Counts, Options, AlignOptions) ? 0 : 1;
-    } else {
-      // Legacy single-aligner path, byte-compatible with prior releases.
-      std::unique_ptr<Aligner> TheAligner =
-          makeAligner(Options.AlignerName, Options.Objective);
-      if (!TheAligner) {
-        std::fprintf(stderr, "error: unknown aligner '%s'\n",
-                     Options.AlignerName.c_str());
-        return 1;
-      }
-      MachineModel Model = AlignOptions.Model;
-
-      if (Options.Verify != VerifyLevel::None) {
-        AlignmentOptions VerifyAlign = AlignOptions;
-        VerifyAlign.ComputeBounds = true;
-        if (!runVerified(*Prog, *Counts, Options, VerifyAlign))
-          return 1;
-      }
-
-      TextTable Report;
-      Report.addColumn("procedure");
-      Report.addColumn("blocks", TextTable::AlignKind::Right);
-      Report.addColumn("branches", TextTable::AlignKind::Right);
-      Report.addColumn("original", TextTable::AlignKind::Right);
-      Report.addColumn(TheAligner->name(), TextTable::AlignKind::Right);
-      Report.addColumn("removed", TextTable::AlignKind::Right);
-      if (Options.ComputeBounds)
-        Report.addColumn("hk-bound", TextTable::AlignKind::Right);
-
-      for (size_t P = 0; P != Prog->numProcedures(); ++P) {
-        const Procedure &Proc = Prog->proc(P);
-        const ProcedureProfile &Profile = Counts->Procs[P];
-
-        Layout Aligned = TheAligner->align(Proc, Profile, Model);
-        uint64_t Original = evaluateLayout(Proc, Layout::original(Proc),
-                                           Model, Profile, Profile);
-        uint64_t After =
-            evaluateLayout(Proc, Aligned, Model, Profile, Profile);
-
-        std::vector<std::string> Row = {
-            Proc.getName(),
-            std::to_string(Proc.numBlocks()),
-            formatCount(Profile.executedBranches(Proc)),
-            std::to_string(Original),
-            std::to_string(After),
-            Original > 0
-                ? formatPercent(1.0 - static_cast<double>(After) /
-                                          static_cast<double>(Original))
-                : "0%"};
-        if (Options.ComputeBounds) {
-          PenaltyBounds Bounds =
-              computePenaltyBounds(Proc, Profile, Model, After);
-          Row.push_back(formatFixed(Bounds.HeldKarp, 1));
-        }
-        Report.addRow(std::move(Row));
-
-        std::printf("proc %s layout:", Proc.getName().c_str());
-        for (BlockId Id : Aligned.Order) {
-          const BasicBlock &Block = Proc.block(Id);
-          std::printf(" %s", Block.Name.empty()
-                                 ? ("b" + std::to_string(Id)).c_str()
-                                 : Block.Name.c_str());
-        }
-        std::printf("\n");
-        if (Options.EmitDot)
-          std::printf("%s", printDot(Proc, &Profile.EdgeCounts).c_str());
-      }
-      std::printf("\n%s", Report.render().c_str());
+    if (Options.Lint == LintMode::Err && LR.failedAt(Severity::Error)) {
+      std::fprintf(stderr, "error: lint found errors; not aligning "
+                   "(use --lint=warn to report without gating)\n");
+      return 1;
     }
   }
-  return 0;
+
+  return alignOneProgram(*Prog, *Counts, Options, AlignOptions) ? 0 : 1;
 }
 
 } // namespace

@@ -13,8 +13,16 @@
 //                 [--budget N] [--bounds] [--deadline MS]
 //                 [--on-error abort|fallback|skip]
 //                 [--effort-policy uniform|scaled|scaled-cold-greedy]
+//                 [--aligner tsp|exttsp|cg|greedy|original]
+//                 [--objective fallthrough|exttsp] [--exttsp-window N]
+//                 [--exttsp-weights F,B] [--encoding fixed|short-long]
+//                 [--short-range N]
 //                 [--batch LIST] [--retry N] [--retry-backoff MS]
 //                 [--ping] [--metrics] [--shutdown]
+//
+// The flags that shape the report are parsed by the same code as
+// align_tool's (serve/RequestFlags.h), so they mean exactly what they
+// mean there.
 //
 // Request order on one connection: ping first (when asked), then the
 // align for file.cfg (or each line of --batch LIST), then metrics,
@@ -28,11 +36,10 @@
 //===--------------------------------------------------------------------===//
 
 #include "serve/Client.h"
-#include "static/EffortPolicy.h"
+#include "serve/RequestFlags.h"
 #include "support/Flags.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -56,7 +63,14 @@ struct ClientOptions {
 };
 
 bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
+  RequestFlagsSeen Seen;
   for (int I = 1; I != Argc; ++I) {
+    FlagParse Shared =
+        parseRequestFlag(Argc, Argv, I, Options.Request, Seen);
+    if (Shared == FlagParse::Error)
+      return false;
+    if (Shared == FlagParse::Ok)
+      continue;
     std::string Arg = Argv[I];
     auto needValue = [&](const char *Flag) -> const char * {
       return flagValue(Flag, Argc, Argv, I);
@@ -65,13 +79,7 @@ bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
                        uint64_t Max = UINT64_MAX) -> bool {
       return flagUInt(Flag, Argc, Argv, I, Out, Max);
     };
-    if (Arg == "--seed") {
-      if (!needInt("--seed", Options.Request.Seed))
-        return false;
-    } else if (Arg == "--budget") {
-      if (!needInt("--budget", Options.Request.Budget))
-        return false;
-    } else if (Arg == "--deadline") {
+    if (Arg == "--deadline") {
       uint64_t Ms = 0;
       if (!needInt("--deadline", Ms, UINT32_MAX))
         return false;
@@ -81,70 +89,6 @@ bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
       if (!V)
         return false;
       Options.ProfileFile = V;
-    } else if (Arg == "--on-error") {
-      const char *V = needValue("--on-error");
-      if (!V)
-        return false;
-      if (std::strcmp(V, "abort") == 0)
-        Options.Request.OnError = OnErrorPolicy::Abort;
-      else if (std::strcmp(V, "fallback") == 0)
-        Options.Request.OnError = OnErrorPolicy::Fallback;
-      else if (std::strcmp(V, "skip") == 0)
-        Options.Request.OnError = OnErrorPolicy::Skip;
-      else {
-        std::fprintf(stderr, "error: unknown --on-error policy '%s' "
-                     "(want abort, fallback, or skip)\n", V);
-        return false;
-      }
-    } else if (Arg == "--effort-policy") {
-      const char *V = needValue("--effort-policy");
-      if (!V)
-        return false;
-      if (!parseEffortPolicy(V, Options.Request.Effort)) {
-        std::fprintf(stderr, "error: unknown --effort-policy '%s' (want "
-                     "uniform, scaled, or scaled-cold-greedy)\n", V);
-        return false;
-      }
-    } else if (Arg == "--bounds") {
-      Options.Request.ComputeBounds = true;
-    } else if (Arg == "--aligner") {
-      const char *V = needValue("--aligner");
-      if (!V)
-        return false;
-      if (std::strcmp(V, "tsp") == 0)
-        Options.Request.Primary = PrimaryAligner::Tsp;
-      else if (std::strcmp(V, "exttsp") == 0)
-        Options.Request.Primary = PrimaryAligner::ExtTsp;
-      else {
-        std::fprintf(stderr, "error: unknown --aligner '%s' (the server "
-                     "only runs tsp or exttsp)\n", V);
-        return false;
-      }
-      Options.Request.HasObjective = true;
-    } else if (Arg == "--objective") {
-      const char *V = needValue("--objective");
-      if (!V)
-        return false;
-      if (!parseObjectiveKind(V, Options.Request.Objective)) {
-        std::fprintf(stderr, "error: unknown --objective '%s' (want "
-                     "fallthrough or exttsp)\n", V);
-        return false;
-      }
-      Options.Request.HasObjective = true;
-    } else if (Arg == "--exttsp-window") {
-      uint64_t Window = 0;
-      if (!flagUIntInRange("--exttsp-window", Argc, Argv, I, Window, 1,
-                           1u << 20))
-        return false;
-      Options.Request.ExtTspForwardWindow = static_cast<uint32_t>(Window);
-      Options.Request.ExtTspBackwardWindow = static_cast<uint32_t>(Window);
-      Options.Request.HasObjective = true;
-    } else if (Arg == "--exttsp-weights") {
-      if (!flagDoublePair("--exttsp-weights", Argc, Argv, I,
-                          Options.Request.ExtTspForwardWeight,
-                          Options.Request.ExtTspBackwardWeight, 1024.0))
-        return false;
-      Options.Request.HasObjective = true;
     } else if (Arg == "--batch") {
       const char *V = needValue("--batch");
       if (!V)
@@ -168,10 +112,12 @@ bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
                   "                     [--bounds] [--deadline MS] "
                   "[--on-error abort|fallback|skip]\n"
                   "                     [--effort-policy P] "
-                  "[--aligner tsp|exttsp]\n"
+                  "[--aligner tsp|exttsp|cg|greedy|original]\n"
                   "                     [--objective fallthrough|exttsp] "
                   "[--exttsp-window N]\n"
                   "                     [--exttsp-weights F,B] "
+                  "[--encoding fixed|short-long]\n"
+                  "                     [--short-range N] "
                   "[--batch LIST] [--retry N]\n"
                   "                     [--retry-backoff MS] [--ping] "
                   "[--metrics] [--shutdown]\n"
@@ -204,6 +150,7 @@ bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
     std::fprintf(stderr, "error: no server socket given (see --help)\n");
     return false;
   }
+  warnIgnoredRequestFlags(Options.Request, Seen);
   if (Options.File.empty() && Options.BatchFile.empty() && !Options.Ping &&
       !Options.Metrics && !Options.Shutdown) {
     std::fprintf(stderr, "error: nothing to do: give a file.cfg, --batch, "

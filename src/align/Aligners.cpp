@@ -2,7 +2,7 @@
 
 #include "align/Aligners.h"
 
-#include "align/Penalty.h"
+#include "objective/Penalty.h"
 #include "robust/FaultInjector.h"
 
 #include <algorithm>
@@ -12,6 +12,47 @@
 using namespace balign;
 
 Aligner::~Aligner() = default;
+
+namespace {
+
+/// The name table, indexed by PrimaryAligner value.
+constexpr const char *PrimaryAlignerNames[NumPrimaryAligners] = {
+    "tsp", "exttsp", "cg", "greedy", "original"};
+
+} // namespace
+
+const char *balign::primaryAlignerName(PrimaryAligner Primary) {
+  auto Index = static_cast<uint8_t>(Primary);
+  return Index < NumPrimaryAligners ? PrimaryAlignerNames[Index] : "unknown";
+}
+
+bool balign::parsePrimaryAligner(const std::string &Name,
+                                 PrimaryAligner &Out) {
+  for (uint8_t I = 0; I != NumPrimaryAligners; ++I)
+    if (Name == PrimaryAlignerNames[I]) {
+      Out = static_cast<PrimaryAligner>(I);
+      return true;
+    }
+  return false;
+}
+
+std::unique_ptr<Aligner> balign::makeAligner(PrimaryAligner Primary,
+                                             ObjectiveKind Objective,
+                                             const IteratedOptOptions &Solver) {
+  switch (Primary) {
+  case PrimaryAligner::Tsp:
+    return std::make_unique<TspAligner>(Solver);
+  case PrimaryAligner::ExtTsp:
+    return std::make_unique<ExtTspAligner>(Objective);
+  case PrimaryAligner::Cg:
+    return std::make_unique<CalderGrunwaldAligner>();
+  case PrimaryAligner::Greedy:
+    return std::make_unique<GreedyAligner>();
+  case PrimaryAligner::Original:
+    return std::make_unique<OriginalAligner>();
+  }
+  return nullptr;
+}
 
 Layout OriginalAligner::align(const Procedure &Proc,
                               const ProcedureProfile &Train,

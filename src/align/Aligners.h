@@ -40,6 +40,7 @@
 #include "profile/Profile.h"
 #include "tsp/IteratedOpt.h"
 
+#include <memory>
 #include <string>
 
 namespace balign {
@@ -49,7 +50,7 @@ class Aligner {
 public:
   virtual ~Aligner();
 
-  /// Short stable identifier ("original", "greedy", "tsp", "cg").
+  /// Short stable identifier ("original", "greedy", "tsp", "cg", "exttsp").
   virtual std::string name() const = 0;
 
   /// Computes a layout of \p Proc from the training profile.
@@ -143,6 +144,35 @@ private:
   ObjectiveKind Objective;
   unsigned MaxSplitBlocks;
 };
+
+/// Which algorithm produces the pipeline's primary layout
+/// (ProcedureAlignment::TspLayout — the name is historical; greedy and
+/// original are always computed alongside as baselines). The numeric
+/// values are wire and cache-key contract: append-only.
+enum class PrimaryAligner : uint8_t {
+  Tsp = 0,      ///< The paper's DTSP + iterated 3-Opt (the default).
+  ExtTsp = 1,   ///< ObjectiveFn-driven chain merging (ExtTspAligner).
+  Cg = 2,       ///< CalderGrunwaldAligner.
+  Greedy = 3,   ///< GreedyAligner.
+  Original = 4, ///< OriginalAligner (the identity layout).
+};
+
+/// Number of PrimaryAligner values; every value below it is defined.
+inline constexpr uint8_t NumPrimaryAligners = 5;
+
+/// Stable flag spelling ("tsp", "exttsp", "cg", "greedy", "original"),
+/// equal to the name() of the aligner makeAligner returns.
+const char *primaryAlignerName(PrimaryAligner Primary);
+
+/// Parses a primaryAlignerName spelling; returns false on unknown names.
+bool parsePrimaryAligner(const std::string &Name, PrimaryAligner &Out);
+
+/// The one aligner factory. \p Objective configures ExtTsp and \p Solver
+/// configures Tsp; the other aligners ignore both.
+std::unique_ptr<Aligner> makeAligner(PrimaryAligner Primary,
+                                     ObjectiveKind Objective =
+                                         ObjectiveKind::ExtTsp,
+                                     const IteratedOptOptions &Solver = {});
 
 } // namespace balign
 

@@ -2,9 +2,9 @@
 
 #include "align/Pipeline.h"
 
-#include "align/Penalty.h"
 #include "analysis/Diagnostics.h"
 #include "objective/Displace.h"
+#include "objective/Penalty.h"
 #include "robust/CrashInjector.h"
 #include "robust/FaultInjector.h"
 #include "support/ThreadPool.h"
@@ -17,16 +17,6 @@ using namespace balign;
 
 AlignmentAborted::AlignmentAborted(ProcedureFailure F)
     : std::runtime_error(F.str()), Failure(std::move(F)) {}
-
-const char *balign::primaryAlignerName(PrimaryAligner Primary) {
-  switch (Primary) {
-  case PrimaryAligner::Tsp:
-    return "tsp";
-  case PrimaryAligner::ExtTsp:
-    return "exttsp";
-  }
-  return "unknown";
-}
 
 // Arity mismatches between a program and its profiles are caller bugs
 // that would otherwise surface as silent out-of-bounds reads; fail
@@ -181,17 +171,18 @@ void alignFullPath(const Procedure &Proc, const ProcedureProfile &Profile,
     return;
   }
 
-  // The Ext-TSP primary path: chain merging needs no DTSP instance, so
-  // the matrix/solve stages (and their hooks) are skipped entirely; the
-  // merger's time is charged to the solver stage, preserving Table 2's
-  // "work per stage" meaning. Bounds are still meaningful — Held-Karp
-  // lower-bounds *every* layout's penalty, including this one.
-  if (Options.Primary == PrimaryAligner::ExtTsp) {
+  // Every non-DTSP primary (chain merging, cg, greedy, original) needs
+  // no DTSP instance, so the matrix/solve stages (and their hooks) are
+  // skipped entirely; the aligner's time is charged to the solver stage,
+  // preserving Table 2's "work per stage" meaning. Bounds are still
+  // meaningful — Held-Karp lower-bounds *every* layout's penalty,
+  // including this one.
+  if (Options.Primary != PrimaryAligner::Tsp) {
     CpuStopwatch ChainTimer;
     {
       ScopedSpan ChainSpan("stage.chain", SpanCat::Stage);
-      PA.TspLayout =
-          ExtTspAligner(Options.Objective).align(Proc, Profile, Options.Model);
+      PA.TspLayout = makeAligner(Options.Primary, Options.Objective)
+                         ->align(Proc, Profile, Options.Model);
     }
     Task.SolverSeconds = ChainTimer.seconds();
     PA.TspPenalty = evaluateLayout(Proc, PA.TspLayout, Options.Model, Profile,

@@ -21,9 +21,9 @@
 
 #include "align/Aligners.h"
 #include "align/Bounds.h"
-#include "align/Layout.h"
 #include "ir/CFG.h"
 #include "machine/MachineModel.h"
+#include "objective/Layout.h"
 #include "profile/Profile.h"
 #include "robust/Deadline.h"
 #include "robust/FailureReport.h"
@@ -179,17 +179,6 @@ bool refineLayoutForEncoding(const Procedure &Proc,
                              const IteratedOptOptions &SolverOptions,
                              Layout &L, uint64_t &Penalty);
 
-/// Which algorithm produces the pipeline's primary layout
-/// (ProcedureAlignment::TspLayout — the name is historical; greedy and
-/// original are always computed alongside as baselines).
-enum class PrimaryAligner : uint8_t {
-  Tsp = 0,    ///< The paper's DTSP + iterated 3-Opt (the default).
-  ExtTsp = 1, ///< ObjectiveFn-driven chain merging (ExtTspAligner).
-};
-
-/// Stable flag spelling ("tsp" / "exttsp").
-const char *primaryAlignerName(PrimaryAligner Primary);
-
 /// Configuration for alignProgram.
 struct AlignmentOptions {
   MachineModel Model = MachineModel::alpha21164();
@@ -197,11 +186,11 @@ struct AlignmentOptions {
   HeldKarpOptions HeldKarp;
   bool ComputeBounds = true;
 
-  /// The algorithm behind the primary layout. ExtTsp skips the DTSP
-  /// matrix/solve stages entirely (the AfterMatrix/AfterSolve hooks
-  /// never fire — there are no artifacts to observe) and runs the
-  /// chain merger under the solve-stage timer instead. Result-affecting,
-  /// so the cache fingerprint keys on it.
+  /// The algorithm behind the primary layout. Every primary but Tsp
+  /// skips the DTSP matrix/solve stages entirely (the AfterMatrix/
+  /// AfterSolve hooks never fire — there are no artifacts to observe)
+  /// and runs makeAligner's aligner under the solve-stage timer instead.
+  /// Result-affecting, so the cache fingerprint keys on it.
   PrimaryAligner Primary = PrimaryAligner::Tsp;
 
   /// The objective the ExtTsp chain merger maximizes (ignored under

@@ -2,8 +2,8 @@
 
 #include "cache/Store.h"
 
-#include "align/Penalty.h"
 #include "analysis/Verifier.h"
+#include "objective/Penalty.h"
 #include "robust/CrashInjector.h"
 #include "robust/Durability.h"
 #include "robust/FaultInjector.h"

@@ -32,14 +32,12 @@ namespace balign {
 ProgramProfile synthesizeProfile(const Program &Prog, uint64_t Seed,
                                  uint64_t Budget);
 
-/// Renders the pipeline-mode report exactly as align_tool prints it:
-/// per-procedure "proc NAME layout: ..." lines (plus dot output under
-/// \p EmitDot), then a blank line and the penalty TextTable (with the
-/// hk-bound column under \p ComputeBounds). The returned string is the
-/// tool's entire stdout for a pipeline run over a named file.
-/// \p PrimaryName labels the primary-aligner column ("tsp" unless the
-/// run used PrimaryAligner::ExtTsp); the default keeps every existing
-/// caller — and the committed serve golden frames — byte-identical.
+/// Renders the report exactly as align_tool prints it: per-procedure
+/// "proc NAME layout: ..." lines (plus dot output under \p EmitDot),
+/// then a blank line and the penalty TextTable (with the hk-bound column
+/// under \p ComputeBounds). The returned string is the tool's entire
+/// stdout for a run over a named file. \p PrimaryName labels the
+/// primary-aligner column (primaryAlignerName of the run's primary).
 std::string renderAlignmentReport(const Program &Prog,
                                   const ProgramProfile &Counts,
                                   const ProgramAlignment &Result,

@@ -286,7 +286,7 @@ bool balign::decodeAlignRequest(const std::string &Body, AlignRequest &Out,
         !In.u32(Out.ExtTspBackwardWindow) || !In.u64(FwdBits) ||
         !In.u64(BwdBits))
       return fail(Error, "align request objective extension is truncated");
-    if (Primary > static_cast<uint8_t>(PrimaryAligner::ExtTsp))
+    if (Primary >= NumPrimaryAligners)
       return fail(Error, "align request names an unknown primary aligner");
     if (Objective > static_cast<uint8_t>(ObjectiveKind::ExtTsp))
       return fail(Error, "align request names an unknown objective");

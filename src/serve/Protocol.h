@@ -110,11 +110,13 @@ struct Frame {
 };
 
 /// One align request. Field-for-field this mirrors the one-shot
-/// align_tool flags that affect pipeline output, so a request and a CLI
-/// invocation over the same inputs produce byte-identical reports.
+/// align_tool flags that affect its output; align_tool and balign_client
+/// both parse those flags into this struct (serve/RequestFlags.h), so a
+/// request and a CLI invocation over the same inputs produce
+/// byte-identical reports.
 ///
-/// Flag bit 2 carries the objective extension (--aligner exttsp and its
-/// knobs): when set, an extension block
+/// Flag bit 2 carries the objective extension (--aligner and the
+/// Ext-TSP knobs): when set, an extension block
 ///
 ///   [u8 primary][u8 objective][u32 fwd window][u32 bwd window]
 ///   [u64 fwd weight IEEE-754 bits][u64 bwd weight IEEE-754 bits]

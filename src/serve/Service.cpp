@@ -8,6 +8,33 @@
 
 using namespace balign;
 
+void balign::applyAlignRequest(const AlignRequest &Req,
+                               AlignmentOptions &Options) {
+  Options.Solver.Seed = Req.Seed;
+  Options.Effort = Req.Effort;
+  Options.ComputeBounds = Req.ComputeBounds;
+  Options.OnError = Req.OnError;
+  if (Req.HasObjective) {
+    // The objective extension carries --aligner and the Ext-TSP knobs;
+    // the model fields feed the cache fingerprint.
+    Options.Primary = Req.Primary;
+    Options.Objective = Req.Objective;
+    Options.Model.ExtTspForwardWindow = Req.ExtTspForwardWindow;
+    Options.Model.ExtTspBackwardWindow = Req.ExtTspBackwardWindow;
+    Options.Model.ExtTspForwardWeight = Req.ExtTspForwardWeight;
+    Options.Model.ExtTspBackwardWeight = Req.ExtTspBackwardWeight;
+  }
+  if (Req.HasEncoding) {
+    // The encoding extension carries --encoding and its knobs
+    // (balign-displace); the fingerprint keys on these model fields only
+    // under a variable encoding.
+    Options.Model.Encoding = Req.Encoding;
+    Options.Model.ShortBranchRange = Req.ShortBranchRange;
+    Options.Model.LongBranchExtraInstrs = Req.LongBranchExtraInstrs;
+    Options.Model.LongBranchPenalty = Req.LongBranchPenalty;
+  }
+}
+
 Frame AlignService::handleAlign(const std::string &Body) const {
   AlignRequest Req;
   std::string Error;
@@ -38,29 +65,7 @@ Frame AlignService::handleAlign(const AlignRequest &Req) const {
   AlignmentOptions Options = Base;
   Options.Threads = 1;
   Options.Hooks = {};
-  Options.Solver.Seed = Req.Seed;
-  Options.Effort = Req.Effort;
-  Options.ComputeBounds = Req.ComputeBounds;
-  Options.OnError = Req.OnError;
-  if (Req.HasObjective) {
-    // The objective extension mirrors --aligner exttsp and its knobs;
-    // the model fields feed the cache fingerprint exactly as the CLI's.
-    Options.Primary = Req.Primary;
-    Options.Objective = Req.Objective;
-    Options.Model.ExtTspForwardWindow = Req.ExtTspForwardWindow;
-    Options.Model.ExtTspBackwardWindow = Req.ExtTspBackwardWindow;
-    Options.Model.ExtTspForwardWeight = Req.ExtTspForwardWeight;
-    Options.Model.ExtTspBackwardWeight = Req.ExtTspBackwardWeight;
-  }
-  if (Req.HasEncoding) {
-    // The encoding extension mirrors --encoding and its knobs
-    // (balign-displace); the fingerprint keys on these model fields only
-    // under a variable encoding, exactly as for the CLI.
-    Options.Model.Encoding = Req.Encoding;
-    Options.Model.ShortBranchRange = Req.ShortBranchRange;
-    Options.Model.LongBranchExtraInstrs = Req.LongBranchExtraInstrs;
-    Options.Model.LongBranchPenalty = Req.LongBranchPenalty;
-  }
+  applyAlignRequest(Req, Options);
   if (Config.Clock)
     Options.Clock = Config.Clock;
 

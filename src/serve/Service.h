@@ -29,6 +29,14 @@
 
 namespace balign {
 
+/// Applies \p Req's result-affecting fields — seed, effort, bounds,
+/// on-error, and the objective and encoding extension blocks when
+/// present — onto \p Options. The one mapping from request to options:
+/// the service runs it per request and align_tool runs it on the
+/// request its flags parse into, so one-shot stdout and the serve reply
+/// come from identical options.
+void applyAlignRequest(const AlignRequest &Req, AlignmentOptions &Options);
+
 /// Service-level knobs shared by every request.
 struct AlignServiceConfig {
   /// Deadline applied to requests that carry DeadlineMs == 0

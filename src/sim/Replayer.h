@@ -14,8 +14,8 @@
 #ifndef BALIGN_SIM_REPLAYER_H
 #define BALIGN_SIM_REPLAYER_H
 
-#include "align/Layout.h"
 #include "ir/CFG.h"
+#include "objective/Layout.h"
 #include "profile/Trace.h"
 #include "machine/Btb.h"
 #include "machine/Predictors.h"

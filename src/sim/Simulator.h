@@ -31,9 +31,9 @@
 #ifndef BALIGN_SIM_SIMULATOR_H
 #define BALIGN_SIM_SIMULATOR_H
 
-#include "align/Layout.h"
 #include "ir/CFG.h"
 #include "machine/MachineModel.h"
+#include "objective/Layout.h"
 #include "profile/Trace.h"
 #include "machine/Predictors.h"
 #include "sim/ICache.h"

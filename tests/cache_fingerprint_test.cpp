@@ -131,6 +131,15 @@ TEST(CacheFingerprintTest, ResultAffectingOptionsAreKeyed) {
 
   // The derived seed makes the procedure's position part of the key.
   EXPECT_NE(fp(Proc, Profile, Base, 0), fp(Proc, Profile, Base, 1));
+
+  // Every primary aligner keys its own entries.
+  std::set<std::string> PrimaryKeys;
+  for (uint8_t P = 0; P != NumPrimaryAligners; ++P) {
+    AlignmentOptions Primary = Base;
+    Primary.Primary = static_cast<PrimaryAligner>(P);
+    PrimaryKeys.insert(fp(Proc, Profile, Primary).str());
+  }
+  EXPECT_EQ(PrimaryKeys.size(), size_t(NumPrimaryAligners));
 }
 
 TEST(CacheFingerprintTest, HeldKarpOptionsKeyedOnlyWithBounds) {

@@ -21,6 +21,7 @@
 #include "objective/Penalty.h"
 #include "profile/Trace.h"
 #include "serve/Protocol.h"
+#include "serve/RequestFlags.h"
 #include "workloads/Generator.h"
 
 #include <gtest/gtest.h>
@@ -519,6 +520,25 @@ TEST(DisplaceServeTest, EncodingBlockRoundTrips) {
   EXPECT_EQ(Out.LongBranchExtraInstrs, 2u);
   EXPECT_EQ(Out.LongBranchPenalty, 3u);
   EXPECT_EQ(Out.CfgText, Req.CfgText);
+
+  // The CLI flags reach the block through the parser balign_client and
+  // align_tool share.
+  std::vector<std::string> Args = {"balign_client", "--encoding",
+                                   "short-long", "--short-range", "4096"};
+  std::vector<char *> Argv;
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  AlignRequest Parsed;
+  RequestFlagsSeen Seen;
+  for (int I = 1; I != static_cast<int>(Argv.size()); ++I)
+    ASSERT_EQ(parseRequestFlag(static_cast<int>(Argv.size()), Argv.data(), I,
+                               Parsed, Seen),
+              FlagParse::Ok)
+        << Args[I];
+  EXPECT_TRUE(Parsed.HasEncoding);
+  EXPECT_FALSE(Parsed.HasObjective);
+  EXPECT_EQ(Parsed.Encoding, BranchEncoding::ShortLong);
+  EXPECT_EQ(Parsed.ShortBranchRange, 4096u);
 }
 
 // Legacy compatibility: with the flag clear the encoding fields are not

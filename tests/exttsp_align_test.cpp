@@ -2,10 +2,11 @@
 //
 // The chain-merging aligner's end-to-end contracts: layouts are valid
 // permutations with the entry first, the merge heuristic never scores
-// below the greedy chain builder on its own objective, the pipeline's
-// PrimaryAligner::ExtTsp path is bit-deterministic across thread counts
-// (with the verification hooks watching), warm caches replay it
-// bit-identically with zero chain-merge work, and the cache fingerprint
+// below the greedy chain builder on its own objective, the pipeline is
+// bit-deterministic across thread counts for every PrimaryAligner (with
+// the verification hooks watching) and ships exactly the factory
+// aligner's layout, warm caches replay every primary bit-identically
+// with zero solve-stage work, and the cache fingerprint
 // keys every objective parameter (and nothing solver-related, since the
 // chain merger never consults the annealer).
 //
@@ -72,6 +73,26 @@ void expectProgramEq(const ProgramAlignment &A, const ProgramAlignment &B) {
   }
 }
 
+/// The pipeline's primary layout must be exactly what makeAligner's
+/// aligner produces on every profiled procedure — for Tsp, with the
+/// pipeline's derived per-procedure seed.
+void expectPrimaryMatchesFactory(const Workload &W,
+                                 const AlignmentOptions &Options,
+                                 const ProgramAlignment &Result) {
+  ASSERT_EQ(Result.Procs.size(), W.Prog.numProcedures());
+  for (size_t P = 0; P != W.Prog.numProcedures(); ++P) {
+    const Procedure &Proc = W.Prog.proc(P);
+    if (W.Train.Procs[P].executedBranches(Proc) == 0)
+      continue;
+    IteratedOptOptions Solver = Options.Solver;
+    Solver.Seed = derivedSolverSeed(Options.Solver.Seed, P);
+    Layout Expected = makeAligner(Options.Primary, Options.Objective, Solver)
+                          ->align(Proc, W.Train.Procs[P], Options.Model);
+    EXPECT_EQ(Result.Procs[P].TspLayout.Order, Expected.Order)
+        << "proc " << P;
+  }
+}
+
 } // namespace
 
 //===--------------------------------------------------------------------===//
@@ -130,22 +151,27 @@ TEST(ExtTspAlignTest, NeverScoresBelowGreedyOnExtTspObjective) {
 
 TEST(ExtTspAlignTest, PipelineBitIdenticalAcrossThreadCountsUnderVerify) {
   Workload W = makeWorkload(29, 8);
-  ProgramAlignment Baseline;
-  bool HaveBaseline = false;
-  for (unsigned Threads : {1u, 2u, 8u}) {
-    AlignmentOptions Options;
-    Options.Primary = PrimaryAligner::ExtTsp;
-    Options.Threads = Threads;
-    Options.ComputeBounds = true;
-    DiagnosticEngine Diags;
-    ProgramAlignment Result =
-        alignProgramVerified(W.Prog, W.Train, Options, Diags);
-    EXPECT_FALSE(Diags.hasErrors()) << Diags.renderAll();
-    if (!HaveBaseline) {
-      Baseline = std::move(Result);
-      HaveBaseline = true;
-    } else {
-      expectProgramEq(Baseline, Result);
+  for (uint8_t P = 0; P != NumPrimaryAligners; ++P) {
+    auto Primary = static_cast<PrimaryAligner>(P);
+    SCOPED_TRACE(primaryAlignerName(Primary));
+    ProgramAlignment Baseline;
+    bool HaveBaseline = false;
+    for (unsigned Threads : {1u, 2u, 8u}) {
+      AlignmentOptions Options;
+      Options.Primary = Primary;
+      Options.Threads = Threads;
+      Options.ComputeBounds = true;
+      DiagnosticEngine Diags;
+      ProgramAlignment Result =
+          alignProgramVerified(W.Prog, W.Train, Options, Diags);
+      EXPECT_FALSE(Diags.hasErrors()) << Diags.renderAll();
+      expectPrimaryMatchesFactory(W, Options, Result);
+      if (!HaveBaseline) {
+        Baseline = std::move(Result);
+        HaveBaseline = true;
+      } else {
+        expectProgramEq(Baseline, Result);
+      }
     }
   }
 }
@@ -179,24 +205,33 @@ TEST(ExtTspAlignTest, ObjectiveChoiceChangesResultsDeterministically) {
 
 TEST(ExtTspAlignTest, WarmCacheReplaysExtTspWithZeroChainWork) {
   Workload W = makeWorkload(53);
-  AlignmentOptions Options;
-  Options.Primary = PrimaryAligner::ExtTsp;
-  Options.Cache = CacheMode::Memory;
-  CacheSession Session(Options);
-  ASSERT_NE(Session.cache(), nullptr);
+  for (uint8_t P = 0; P != NumPrimaryAligners; ++P) {
+    for (unsigned Threads : {1u, 8u}) {
+      AlignmentOptions Options;
+      Options.Primary = static_cast<PrimaryAligner>(P);
+      Options.Threads = Threads;
+      Options.Cache = CacheMode::Memory;
+      SCOPED_TRACE(std::string(primaryAlignerName(Options.Primary)) +
+                   " threads=" + std::to_string(Threads));
+      CacheSession Session(Options);
+      ASSERT_NE(Session.cache(), nullptr);
 
-  ProgramAlignment Cold = alignProgram(W.Prog, W.Train, Options);
-  CacheStats ColdStats = Session.stats();
-  EXPECT_EQ(ColdStats.Hits, 0u);
-  EXPECT_GT(ColdStats.Stores, 0u);
+      ProgramAlignment Cold = alignProgram(W.Prog, W.Train, Options);
+      CacheStats ColdStats = Session.stats();
+      EXPECT_EQ(ColdStats.Hits, 0u);
+      EXPECT_GT(ColdStats.Stores, 0u);
+      expectPrimaryMatchesFactory(W, Options, Cold);
 
-  ProgramAlignment Warm = alignProgram(W.Prog, W.Train, Options);
-  CacheStats WarmStats = Session.stats();
-  EXPECT_EQ(WarmStats.Hits, ColdStats.Stores);
-  // The chain merger runs under the solve-stage timer; a warm run must
-  // never invoke it.
-  EXPECT_EQ(Warm.SolverSeconds, 0.0);
-  expectProgramEq(Cold, Warm);
+      ProgramAlignment Warm = alignProgram(W.Prog, W.Train, Options);
+      CacheStats WarmStats = Session.stats();
+      EXPECT_EQ(WarmStats.Hits, ColdStats.Stores);
+      // Every primary runs under the solve-stage timer; a warm run must
+      // never invoke it.
+      EXPECT_EQ(Warm.SolverSeconds, 0.0);
+      expectPrimaryMatchesFactory(W, Options, Warm);
+      expectProgramEq(Cold, Warm);
+    }
+  }
 }
 
 //===--------------------------------------------------------------------===//

@@ -11,6 +11,7 @@
 #include "serve/Protocol.h"
 
 #include "serve/Client.h"
+#include "serve/RequestFlags.h"
 #include "serve/Server.h"
 #include "support/Random.h"
 
@@ -263,6 +264,32 @@ TEST(ServeProtocolTest, ObjectiveExtensionDoesNotDisturbLegacyLayout) {
   ASSERT_EQ(Plain.size() + 26, Ext.size());
   EXPECT_EQ(Plain.substr(0, 22), Ext.substr(0, 22)); // Up to the flags.
   EXPECT_EQ(Plain.substr(23), Ext.substr(23, Plain.size() - 23));
+
+  // The shared CLI flag parser sets an extension bit only for the flags
+  // that need it, so a request built from the other flags encodes the
+  // pre-extension layout byte for byte.
+  std::vector<std::string> Args = {"balign_client", "--seed",   "7",
+                                   "--budget",      "2000",     "--bounds",
+                                   "--on-error",    "fallback", "--effort-policy",
+                                   "scaled"};
+  std::vector<char *> Argv;
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  AlignRequest Parsed;
+  RequestFlagsSeen Seen;
+  for (int I = 1; I != static_cast<int>(Argv.size()); ++I)
+    ASSERT_EQ(parseRequestFlag(static_cast<int>(Argv.size()), Argv.data(), I,
+                               Parsed, Seen),
+              FlagParse::Ok)
+        << Args[I];
+  Parsed.CfgText = DemoCfg;
+  AlignRequest Hand = demoRequest();
+  Hand.ComputeBounds = true;
+  Hand.OnError = OnErrorPolicy::Fallback;
+  Hand.Effort = EffortPolicy::Scaled;
+  EXPECT_FALSE(Parsed.HasObjective);
+  EXPECT_FALSE(Parsed.HasEncoding);
+  EXPECT_EQ(encodeAlignRequest(Parsed), encodeAlignRequest(Hand));
 }
 
 TEST(ServeProtocolTest, ObjectiveExtensionRejectsBadValues) {
@@ -277,9 +304,15 @@ TEST(ServeProtocolTest, ObjectiveExtensionRejectsBadValues) {
                                     nullptr))
         << "cut " << Cut;
 
-  // Unknown primary / objective enum values.
+  // Every defined primary decodes; the next value is unknown. Likewise
+  // for the objective enum.
   std::string Bad = Full;
-  Bad[Full.size() - 26] = 2;
+  for (uint8_t Primary = 0; Primary != NumPrimaryAligners; ++Primary) {
+    Bad[Full.size() - 26] = static_cast<char>(Primary);
+    ASSERT_TRUE(decodeAlignRequest(Bad, Out, nullptr)) << int(Primary);
+    EXPECT_EQ(Out.Primary, static_cast<PrimaryAligner>(Primary));
+  }
+  Bad[Full.size() - 26] = static_cast<char>(NumPrimaryAligners);
   EXPECT_FALSE(decodeAlignRequest(Bad, Out, nullptr));
   Bad = Full;
   Bad[Full.size() - 25] = 7;
