@@ -3,10 +3,10 @@
 // Part of the balign project (PLDI 1997 branch-alignment reproduction).
 //
 // Microbenchmarks for the combinatorial kernels backing Section 3.2's
-// compile-time discussion: tour construction, local search, the full
-// iterated 3-Opt protocol, the Held-Karp bound, and the Hungarian
-// assignment bound, across instance sizes typical of branch-alignment
-// DTSPs (tens to hundreds of basic blocks).
+// compile-time discussion: tour construction, local search (from scratch
+// and after a kick), the full iterated 3-Opt protocol, the Held-Karp
+// bound, and the Hungarian assignment bound, across instance sizes
+// typical of branch-alignment DTSPs (tens to hundreds of basic blocks).
 //
 //===--------------------------------------------------------------------===//
 
@@ -78,6 +78,39 @@ void BM_LocalSearch(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_LocalSearch)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
+
+/// The call that dominates iterated 3-Opt: a seeded local search
+/// repairing a double-bridge kick of a local optimum, with the scratch
+/// buffers reused across calls as the solver reuses them.
+void BM_LocalSearchAfterKick(benchmark::State &State) {
+  size_t N = static_cast<size_t>(State.range(0));
+  DirectedTsp D = alignmentLikeInstance(N, 42);
+  SymmetricTransform T = transformToSymmetric(D);
+  NeighborLists Neighbors(T.Sym, 12);
+  LocalSearchWorkspace Work;
+  Rng R(3);
+  std::vector<City> Optimum = canonicalTour(N);
+  R.shuffle(Optimum);
+  std::vector<City> Sym = T.toSymmetricTour(Optimum);
+  localSearchSymmetric(T.Sym, Neighbors, Sym);
+  Optimum = T.toDirectedTour(Sym);
+  std::vector<City> Kicked, Touched, Seeds;
+  for (auto _ : State) {
+    State.PauseTiming();
+    Kicked = Optimum;
+    doubleBridge(Kicked, R, &Touched);
+    Seeds.clear();
+    for (City C : Touched) {
+      Seeds.push_back(C);
+      Seeds.push_back(C + static_cast<City>(N));
+    }
+    T.toSymmetricTour(Kicked, Sym);
+    State.ResumeTiming();
+    benchmark::DoNotOptimize(localSearchSymmetric(T.Sym, Neighbors, Sym,
+                                                  &Seeds, nullptr, &Work));
+  }
+}
+BENCHMARK(BM_LocalSearchAfterKick)->Arg(16)->Arg(48)->Arg(64)->Arg(128);
 
 void BM_IteratedThreeOptFull(benchmark::State &State) {
   size_t N = static_cast<size_t>(State.range(0));

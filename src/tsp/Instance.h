@@ -87,6 +87,13 @@ public:
     return Dists[A * N + B];
   }
 
+  /// Row \p A of the distance matrix: row(A)[B] == dist(A, B) ==
+  /// dist(B, A). Lets hot loops that fix one endpoint index directly.
+  const int64_t *row(City A) const {
+    assert(A < N && "city out of range");
+    return Dists.data() + A * N;
+  }
+
   /// Sets both (A,B) and (B,A).
   void setDist(City A, City B, int64_t Dist) {
     assert(A < N && B < N && "city out of range");

@@ -16,6 +16,8 @@ using namespace balign;
 void balign::doubleBridge(std::vector<City> &Tour, Rng &Rng,
                           std::vector<City> *Touched) {
   size_t N = Tour.size();
+  if (Touched)
+    Touched->clear();
   if (N < 4)
     return;
   // Three distinct interior cut points 0 < P1 < P2 < P3 < N.
@@ -27,18 +29,12 @@ void balign::doubleBridge(std::vector<City> &Tour, Rng &Rng,
   size_t P1 = Cuts[0], P2 = Cuts[1] + 1, P3 = Cuts[2] + 2;
   assert(P1 < P2 && P2 < P3 && P3 < N && "bad double-bridge cuts");
 
-  std::vector<City> Kicked;
-  Kicked.reserve(N);
-  Kicked.insert(Kicked.end(), Tour.begin(), Tour.begin() + P1);
-  Kicked.insert(Kicked.end(), Tour.begin() + P2, Tour.begin() + P3);
-  Kicked.insert(Kicked.end(), Tour.begin() + P1, Tour.begin() + P2);
-  Kicked.insert(Kicked.end(), Tour.begin() + P3, Tour.end());
+  // A B C D -> A C B D, in place.
+  std::rotate(Tour.begin() + P1, Tour.begin() + P2, Tour.begin() + P3);
   if (Touched) {
-    Touched->clear();
     for (size_t Pos : {size_t(0), P1 - 1, P1, P2 - 1, P2, P3 - 1, P3, N - 1})
-      Touched->push_back(Kicked[std::min(Pos, N - 1)]);
+      Touched->push_back(Tour[std::min(Pos, N - 1)]);
   }
-  Tour = std::move(Kicked);
 }
 
 namespace {
@@ -50,45 +46,61 @@ struct Solver {
   SymmetricTransform Transform;
   NeighborLists Neighbors;
 
+  /// Buffers every kick reuses, so a warm kick loop allocates nothing:
+  /// the kicked directed tour, its touched cities, the symmetric tour,
+  /// the local-search seeds and the local search's own scratch.
+  std::vector<City> Candidate;
+  std::vector<City> Touched;
+  std::vector<City> SymTour;
+  std::vector<City> Seeds;
+  LocalSearchWorkspace Work;
+
   Solver(const DirectedTsp &Dtsp, const IteratedOptOptions &Options)
       : Dtsp(Dtsp), Options(Options),
         Transform(transformToSymmetric(Dtsp)),
         Neighbors(Transform.Sym, Options.NeighborListSize) {}
 
   /// Local-search the directed tour via the symmetric space; returns the
-  /// directed cost of the improved tour. When \p TouchedDirected is
-  /// non-null, only those cities (both their in and out twins) seed the
-  /// search — the iterated-local-search restart trick after a kick.
+  /// directed cost of the improved tour and adds the applied moves to
+  /// \p Moves. When \p TouchedDirected is non-null, only those cities
+  /// (both their in and out twins) seed the search — the
+  /// iterated-local-search restart trick after a kick.
   int64_t optimize(std::vector<City> &Directed,
-                   const std::vector<City> *TouchedDirected = nullptr) {
-    std::vector<City> Sym = Transform.toSymmetricTour(Directed);
+                   const std::vector<City> *TouchedDirected,
+                   LocalSearchStats &Moves) {
+    Transform.toSymmetricTour(Directed, SymTour);
     if (TouchedDirected) {
-      std::vector<City> Seeds;
-      Seeds.reserve(2 * TouchedDirected->size());
+      Seeds.clear();
       for (City C : *TouchedDirected) {
         Seeds.push_back(C);
         Seeds.push_back(C + static_cast<City>(Transform.DirectedN));
       }
-      localSearchSymmetric(Transform.Sym, Neighbors, Sym, &Seeds);
-    } else {
-      localSearchSymmetric(Transform.Sym, Neighbors, Sym);
     }
-    Directed = Transform.toDirectedTour(Sym);
-    return Dtsp.tourCost(Directed);
+    int64_t SymCost =
+        localSearchSymmetric(Transform.Sym, Neighbors, SymTour,
+                             TouchedDirected ? &Seeds : nullptr, &Moves, &Work);
+    Transform.toDirectedTour(SymTour, Directed);
+    return Transform.toDirectedCost(SymCost);
   }
 
-  /// Batches the solver's inner-loop metrics into two counter
-  /// publications per run (its destructor), so tracing costs the hot
-  /// loop two additions instead of two registry locks per iteration.
-  /// Flushing from a destructor also keeps budget-tripped runs counted.
+  /// Batches the solver's inner-loop metrics into counter publications
+  /// once per run (its destructor), so tracing costs the hot loop a few
+  /// additions instead of registry locks per iteration. Flushing from a
+  /// destructor also keeps budget-tripped runs counted.
   struct RunCounters {
     uint64_t Iterations = 0;
     uint64_t Kicks = 0;
+    LocalSearchStats Moves;
     ~RunCounters() {
       if (Iterations)
         scopeCounterAdd("solver.iterations", Iterations);
       if (Kicks)
         scopeCounterAdd("solver.kicks", Kicks);
+      // Every run searches, so the move counters are always published:
+      // on the pair-locked instances the solver builds, 2-opt moves stay
+      // at zero (DESIGN.md §12), and a present zero documents that.
+      scopeCounterAdd("solver.ls.two_opt_moves", Moves.TwoOptMoves);
+      scopeCounterAdd("solver.ls.or_opt_moves", Moves.OrOptMoves);
     }
   };
 
@@ -98,26 +110,25 @@ struct Solver {
     ScopedSpan RunSpan("solver.run", SpanCat::Solver);
     RunCounters Counters;
     std::vector<City> Best = std::move(Start);
-    int64_t BestCost = optimize(Best);
+    int64_t BestCost = optimize(Best, nullptr, Counters.Moves);
     size_t Iterations = std::min<size_t>(
         Options.MaxIterationsPerRun,
         std::max<size_t>(Options.MinIterationsPerRun,
                          static_cast<size_t>(
                              Options.IterationsFactor *
                              static_cast<double>(Dtsp.numCities()))));
-    std::vector<City> Touched;
     for (size_t Iter = 0; Iter != Iterations; ++Iter) {
       if (Options.Budget)
         Options.Budget->check("iterated 3-Opt");
       ++Counters.Iterations;
-      std::vector<City> Candidate = Best;
+      Candidate.assign(Best.begin(), Best.end());
       doubleBridge(Candidate, Rng, &Touched);
       if (!Touched.empty())
         ++Counters.Kicks;
-      int64_t Cost = optimize(Candidate, Touched.empty() ? nullptr
-                                                         : &Touched);
+      int64_t Cost = optimize(Candidate, Touched.empty() ? nullptr : &Touched,
+                              Counters.Moves);
       if (Cost < BestCost) {
-        Best = std::move(Candidate);
+        std::swap(Best, Candidate);
         BestCost = Cost;
       }
     }

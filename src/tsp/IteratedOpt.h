@@ -60,9 +60,15 @@ struct DtspSolution {
 };
 
 /// Applies a random double-bridge move to \p Tour (a directed tour; all
-/// segments keep their direction). No-op for tours shorter than 4. If
-/// \p Touched is non-null it receives the cities adjacent to the four
-/// reconnected edges (the natural restart seeds for local search).
+/// segments keep their direction): cuts 0 < P1 < P2 < P3 < N split it
+/// into A B C D, which becomes A C B D in place. No-op for tours shorter
+/// than 4. If \p Touched is non-null it is cleared and then receives the
+/// cities at positions 0, P1-1, P1, P2-1, P2, P3-1, P3 and N-1 of the
+/// kicked tour, the local-search restart seeds. Those are both ends of
+/// the A->C and B->D junctions and of the unchanged closing edge
+/// (N-1 -> 0). The C->B junction sits at positions P1+(P3-P2)-1 and
+/// P1+(P3-P2), so positions P2-1 and P2 hit it only when B and C have
+/// equal length; otherwise they are two cities inside B or C.
 void doubleBridge(std::vector<City> &Tour, Rng &Rng,
                   std::vector<City> *Touched = nullptr);
 

@@ -34,19 +34,32 @@ NeighborLists::NeighborLists(const SymmetricTsp &Sym, unsigned K) {
 namespace {
 
 /// Array-based tour with position index and don't-look bits.
+///
+/// The search trajectory depends on the exact array, not only on the
+/// cyclic tour it encodes: reverseSegment picks which side of a 2-opt
+/// move to reverse from absolute positions. applyOrOpt therefore
+/// reproduces, move for move, the array a rebuild would produce (walk the
+/// order from position 0, drop the segment, reinsert it after C).
 class TourState {
 public:
   TourState(const SymmetricTsp &Sym, const NeighborLists &Neighbors,
-            std::vector<City> &Tour, const std::vector<City> *Seeds)
-      : Sym(Sym), Neighbors(Neighbors), Order(Tour), Pos(Tour.size()) {
-    for (size_t P = 0; P != Order.size(); ++P)
-      Pos[Order[P]] = static_cast<uint32_t>(P);
-    Queue.reserve(Order.size());
+            std::vector<City> &Tour, const std::vector<City> *Seeds,
+            LocalSearchWorkspace &Work)
+      : Sym(Sym), Neighbors(Neighbors), Order(Tour.data()),
+        N(static_cast<uint32_t>(Tour.size())), Queue(Work.Queue),
+        InQueue(Work.InQueue) {
+    Work.Pos.resize(N);
+    Pos = Work.Pos.data();
+    for (uint32_t P = 0; P != N; ++P)
+      Pos[Order[P]] = P;
+    Queue.clear();
+    Queue.reserve(N);
+    InQueue.assign(N, 0);
     if (Seeds) {
       for (City C : *Seeds)
         pushActive(C);
     } else {
-      for (City C = 0; C != Order.size(); ++C)
+      for (City C = 0; C != N; ++C)
         pushActive(C);
     }
   }
@@ -56,7 +69,7 @@ public:
     while (!Queue.empty()) {
       City C = Queue.back();
       Queue.pop_back();
-      InQueue[C] = false;
+      InQueue[C] = 0;
       // Retry the same city until it yields nothing; each success may
       // enable further moves around it.
       while (improveCity(C)) {
@@ -64,56 +77,77 @@ public:
     }
   }
 
+  LocalSearchStats Moves;
+
 private:
   const SymmetricTsp &Sym;
   const NeighborLists &Neighbors;
-  std::vector<City> &Order;
-  std::vector<uint32_t> Pos;
-  std::vector<City> Queue;
-  std::vector<bool> InQueue = std::vector<bool>(Order.size(), false);
+  // The tour never changes size during a search, so raw pointers into
+  // the caller's tour and the workspace stay valid throughout.
+  City *Order;
+  uint32_t *Pos = nullptr;
+  uint32_t N;
+  std::vector<City> &Queue;
+  std::vector<uint8_t> &InQueue;
 
-  size_t size() const { return Order.size(); }
+  uint32_t nextPos(uint32_t P) const { return P + 1 == N ? 0 : P + 1; }
+  uint32_t prevPos(uint32_t P) const { return (P == 0 ? N : P) - 1; }
+  City succ(City C) const { return Order[nextPos(Pos[C])]; }
+  City pred(City C) const { return Order[prevPos(Pos[C])]; }
 
-  City succ(City C) const { return Order[(Pos[C] + 1) % size()]; }
-  City pred(City C) const { return Order[(Pos[C] + size() - 1) % size()]; }
+  /// Forward distance from position \p From to position \p To, in
+  /// [0, N), without a branch or a division.
+  uint32_t offset(uint32_t From, uint32_t To) const {
+    return To - From + (N & -static_cast<uint32_t>(To < From));
+  }
 
   void pushActive(City C) {
     if (InQueue[C])
       return;
-    InQueue[C] = true;
+    InQueue[C] = 1;
     Queue.push_back(C);
+  }
+
+  /// Rewrites Pos for the cities at positions [First, Last).
+  void renumber(uint32_t First, uint32_t Last) {
+    for (uint32_t P = First; P != Last; ++P)
+      Pos[Order[P]] = P;
   }
 
   /// Reverses the tour segment running forward from city B to city C
   /// (inclusive); reverses whichever representation side is contiguous.
   void reverseSegment(City B, City C) {
     uint32_t I = Pos[B], J = Pos[C];
-    size_t SegLen = (J + size() - I) % size() + 1;
-    if (SegLen * 2 > size()) {
+    if ((offset(I, J) + 1) * 2 > N) {
       // Reversing the complement yields the same cyclic tour.
       std::swap(I, J);
-      I = (I + 1) % size();
-      J = (J + size() - 1) % size();
+      I = nextPos(I);
+      J = prevPos(J);
     }
     // Reverse positions I..J walking inward cyclically.
-    size_t Len = (J + size() - I) % size() + 1;
-    for (size_t S = 0; S < Len / 2; ++S) {
-      uint32_t A = (I + S) % size();
-      uint32_t Z = (J + size() - S) % size();
-      std::swap(Order[A], Order[Z]);
-      Pos[Order[A]] = A;
-      Pos[Order[Z]] = Z;
+    uint32_t Len = offset(I, J) + 1;
+    for (uint32_t S = 0; S < Len / 2; ++S) {
+      std::swap(Order[I], Order[J]);
+      Pos[Order[I]] = I;
+      Pos[Order[J]] = J;
+      I = nextPos(I);
+      J = prevPos(J);
     }
   }
 
   bool improveCity(City A) {
     if (tryTwoOpt(A, /*Forward=*/true) || tryTwoOpt(A, /*Forward=*/false))
       return true;
-    unsigned MaxSegment = std::min<unsigned>(MaxOrOptSegment,
-                                             static_cast<unsigned>(size() / 2));
-    for (unsigned L = 1; L <= MaxSegment; ++L)
-      if (tryOrOpt(A, L))
+    unsigned MaxSegment = std::min<unsigned>(MaxOrOptSegment, N / 2);
+    // The segment A..SLast grows by one city per length. A failed
+    // tryOrOpt leaves the tour untouched, so extending it stays exact.
+    City SLast = A;
+    for (unsigned L = 1; L <= MaxSegment; ++L) {
+      if (L > 1)
+        SLast = succ(SLast);
+      if (tryOrOpt(A, SLast, L))
         return true;
+    }
     return false;
   }
 
@@ -127,9 +161,10 @@ private:
   /// direction) and (C, D); adds (A, C) and (B, D).
   bool tryTwoOpt(City A, bool Forward) {
     City B = Forward ? succ(A) : pred(A);
-    int64_t DistAB = Sym.dist(A, B);
+    const int64_t *RowA = Sym.row(A);
+    int64_t DistAB = RowA[B];
     for (City C : Neighbors.neighbors(A)) {
-      int64_t DistAC = Sym.dist(A, C);
+      int64_t DistAC = RowA[C];
       if (DistAC >= DistAB)
         break; // Sorted list: no closer candidate remains.
       if (C == B)
@@ -147,6 +182,7 @@ private:
         reverseSegment(B, C);
       else
         reverseSegment(A, D);
+      ++Moves.TwoOptMoves;
       pushActive(A);
       pushActive(B);
       pushActive(C);
@@ -156,17 +192,12 @@ private:
     return false;
   }
 
-  /// Or-opt: moves the length-L segment starting at A to sit after some
+  /// Or-opt: moves the length-L segment A..SLast to sit after some
   /// candidate city C elsewhere in the tour, in either orientation.
-  bool tryOrOpt(City A, unsigned L) {
-    if (size() < L + 3)
+  bool tryOrOpt(City A, City SLast, unsigned L) {
+    if (N < L + 3)
       return false;
-    // Segment A = S0 .. SLast, with P before it and N after it.
-    City Seg[MaxOrOptSegment];
-    Seg[0] = A;
-    for (unsigned I = 1; I < L; ++I)
-      Seg[I] = succ(Seg[I - 1]);
-    City SLast = Seg[L - 1];
+    // Segment A = S0 .. SLast, with P before it and Next after it.
     City P = pred(A);
     City Next = succ(SLast);
     if (Next == P)
@@ -174,12 +205,11 @@ private:
     int64_t RemoveGain =
         Sym.dist(P, A) + Sym.dist(SLast, Next) - Sym.dist(P, Next);
 
-    auto InSegment = [&](City X) {
-      for (unsigned I = 0; I != L; ++I)
-        if (Seg[I] == X)
-          return true;
-      return false;
-    };
+    // The segment occupies the L positions running forward from A.
+    uint32_t Start = Pos[A];
+    auto InSegment = [&](City X) { return offset(Start, Pos[X]) < L; };
+    const int64_t *RowA = Sym.row(A);
+    const int64_t *RowLast = Sym.row(SLast);
 
     // Candidate insertion points: after C, where C is near either
     // endpoint of the segment.
@@ -195,14 +225,15 @@ private:
           continue;
         int64_t Base = Sym.dist(C, D);
         // Forward: C -> S0 ... SLast -> D. Reversed: C -> SLast ... S0 -> D.
-        int64_t AddForward = Sym.dist(C, A) + Sym.dist(SLast, D);
-        int64_t AddReversed = Sym.dist(C, SLast) + Sym.dist(A, D);
+        int64_t AddForward = RowA[C] + RowLast[D];
+        int64_t AddReversed = RowLast[C] + RowA[D];
         bool Reversed = AddReversed < AddForward;
         int64_t Add = Reversed ? AddReversed : AddForward;
         int64_t Delta = Add - Base - RemoveGain;
         if (Delta >= 0)
           continue;
-        applyOrOpt(Seg, L, C, Reversed);
+        applyOrOpt(Start, L, C, Reversed);
+        ++Moves.OrOptMoves;
         pushActive(A);
         pushActive(SLast);
         pushActive(P);
@@ -215,27 +246,38 @@ private:
     return false;
   }
 
-  /// Rebuilds the order with segment \p Seg (length \p L) removed and
-  /// reinserted directly after city \p C.
-  void applyOrOpt(const City *Seg, unsigned L, City C, bool Reversed) {
-    std::vector<City> NewOrder;
-    NewOrder.reserve(size());
-    std::vector<bool> InSeg(size(), false);
-    for (unsigned I = 0; I != L; ++I)
-      InSeg[Seg[I]] = true;
-    for (City X : Order) {
-      if (InSeg[X])
-        continue;
-      NewOrder.push_back(X);
-      if (X == C) {
-        for (unsigned I = 0; I != L; ++I)
-          NewOrder.push_back(Reversed ? Seg[L - 1 - I] : Seg[I]);
-      }
+  /// Moves the length-\p L segment at positions Start.. (cyclically) to
+  /// sit directly after city \p C, reversed if asked. Splices in place:
+  /// only the positions between the segment and C move, and the result
+  /// is the array the remove-and-reinsert rebuild would produce.
+  void applyOrOpt(uint32_t Start, uint32_t L, City C, bool Reversed) {
+    assert(offset(Start, Pos[C]) >= L && "or-opt lost a city");
+    if (Start + L > N) {
+      // The segment wraps past position 0. The rebuild's array starts
+      // with the first city after the segment, so rotate it there; the
+      // segment then ends the array.
+      std::rotate(Order, Order + (Start + L - N), Order + N);
+      renumber(0, N);
+      Start = N - L;
     }
-    assert(NewOrder.size() == size() && "or-opt lost a city");
-    Order = std::move(NewOrder);
-    for (size_t Position = 0; Position != Order.size(); ++Position)
-      Pos[Order[Position]] = static_cast<uint32_t>(Position);
+    uint32_t CPos = Pos[C];
+    uint32_t First, Last, Dest;
+    if (CPos < Start) {
+      // ... C [gap] Seg ... -> ... C Seg [gap] ...
+      First = CPos + 1;
+      Last = Start + L;
+      std::rotate(Order + First, Order + Start, Order + Last);
+      Dest = First;
+    } else {
+      // ... Seg [gap] C ... -> ... [gap] C Seg ...
+      First = Start;
+      Last = CPos + 1;
+      std::rotate(Order + First, Order + Start + L, Order + Last);
+      Dest = Last - L;
+    }
+    if (Reversed)
+      std::reverse(Order + Dest, Order + Dest + L);
+    renumber(First, Last);
   }
 };
 
@@ -244,11 +286,18 @@ private:
 int64_t balign::localSearchSymmetric(const SymmetricTsp &Sym,
                                      const NeighborLists &Neighbors,
                                      std::vector<City> &Tour,
-                                     const std::vector<City> *Seeds) {
+                                     const std::vector<City> *Seeds,
+                                     LocalSearchStats *Stats,
+                                     LocalSearchWorkspace *Work) {
   assert(isValidTour(Tour, Sym.numCities()) && "invalid input tour");
   if (Tour.size() >= 5) {
-    TourState State(Sym, Neighbors, Tour, Seeds);
+    LocalSearchWorkspace Local;
+    TourState State(Sym, Neighbors, Tour, Seeds, Work ? *Work : Local);
     State.run();
+    if (Stats) {
+      Stats->TwoOptMoves += State.Moves.TwoOptMoves;
+      Stats->OrOptMoves += State.Moves.OrOptMoves;
+    }
   }
   assert(isValidTour(Tour, Sym.numCities()) && "local search broke the tour");
   return Sym.tourCost(Tour);

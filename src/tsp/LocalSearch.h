@@ -43,15 +43,36 @@ private:
   std::vector<std::vector<City>> Lists;
 };
 
+/// Improving moves applied by localSearchSymmetric, accumulated across
+/// calls. Both counts are pure functions of the inputs, so the solver
+/// publishes them as thread-count-stable counters.
+struct LocalSearchStats {
+  uint64_t TwoOptMoves = 0; ///< Accepted 2-opt exchanges.
+  uint64_t OrOptMoves = 0;  ///< Accepted segment insertions.
+};
+
+/// Scratch buffers for localSearchSymmetric. A caller that searches many
+/// tours (the iterated-3-Opt kick loop) keeps one alive so repeated calls
+/// allocate nothing; the contents between calls carry no meaning.
+struct LocalSearchWorkspace {
+  std::vector<uint32_t> Pos;
+  std::vector<City> Queue;
+  std::vector<uint8_t> InQueue;
+};
+
 /// Runs 2-opt + Or-opt local search to exhaustion on \p Tour (modified in
 /// place); returns the final tour cost. If \p Seeds is non-null, only the
 /// listed cities start active (the standard iterated-local-search trick
 /// after a kick: everything far from the perturbed edges is already
-/// locally optimal); otherwise every city starts active.
+/// locally optimal); otherwise every city starts active. Applied moves
+/// are added to \p Stats when it is non-null; \p Work, when non-null,
+/// supplies the scratch buffers.
 int64_t localSearchSymmetric(const SymmetricTsp &Sym,
                              const NeighborLists &Neighbors,
                              std::vector<City> &Tour,
-                             const std::vector<City> *Seeds = nullptr);
+                             const std::vector<City> *Seeds = nullptr,
+                             LocalSearchStats *Stats = nullptr,
+                             LocalSearchWorkspace *Work = nullptr);
 
 } // namespace balign
 

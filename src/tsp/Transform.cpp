@@ -5,6 +5,7 @@
 #include "robust/FaultInjector.h"
 #include "trace/Scope.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace balign;
@@ -35,34 +36,33 @@ SymmetricTransform balign::transformToSymmetric(const DirectedTsp &Dtsp) {
   return Result;
 }
 
-std::vector<City> SymmetricTransform::toSymmetricTour(
-    const std::vector<City> &Directed) const {
+void SymmetricTransform::toSymmetricTour(const std::vector<City> &Directed,
+                                         std::vector<City> &Symmetric) const {
   assert(isValidTour(Directed, DirectedN) && "invalid directed tour");
-  std::vector<City> Sym;
-  Sym.reserve(2 * Directed.size());
+  Symmetric.clear();
+  Symmetric.reserve(2 * Directed.size());
   for (City I : Directed) {
-    Sym.push_back(I);                                    // i_in
-    Sym.push_back(I + static_cast<City>(DirectedN));     // i_out
+    Symmetric.push_back(I);                                // i_in
+    Symmetric.push_back(I + static_cast<City>(DirectedN)); // i_out
   }
-  return Sym;
 }
 
-std::vector<City> SymmetricTransform::toDirectedTour(
-    const std::vector<City> &Symmetric) const {
+void SymmetricTransform::toDirectedTour(const std::vector<City> &Symmetric,
+                                        std::vector<City> &Directed) const {
   assert(isValidTour(Symmetric, 2 * DirectedN) && "invalid symmetric tour");
   size_t N = DirectedN;
   size_t Size = Symmetric.size();
-  std::vector<City> Directed;
+  Directed.clear();
   Directed.reserve(N);
-
-  std::vector<size_t> Pos(Size);
-  for (size_t P = 0; P != Size; ++P)
-    Pos[Symmetric[P]] = P;
 
   // Walk the cycle in the direction where each in-city is immediately
   // followed by its own out-city; probe the orientation at city 0.
-  size_t InPos = Pos[0];
-  size_t OutPos = Pos[N]; // City 0's out twin.
+  auto positionOf = [&](City C) {
+    return static_cast<size_t>(
+        std::find(Symmetric.begin(), Symmetric.end(), C) - Symmetric.begin());
+  };
+  size_t InPos = positionOf(0);
+  size_t OutPos = positionOf(static_cast<City>(N)); // City 0's out twin.
   size_t Dir;
   if ((InPos + 1) % Size == OutPos) {
     Dir = 1;
@@ -81,5 +81,4 @@ std::vector<City> SymmetricTransform::toDirectedTour(
     P = (P + 2 * Dir) % Size;
   }
   assert(isValidTour(Directed, N) && "collapse produced an invalid tour");
-  return Directed;
 }

@@ -42,12 +42,25 @@ struct SymmetricTransform {
   int64_t LockBonus = 0;
 
   /// Expands a directed tour into the corresponding symmetric tour
-  /// (i -> i_in, i_out).
-  std::vector<City> toSymmetricTour(const std::vector<City> &Directed) const;
+  /// (i -> i_in, i_out), written into \p Symmetric.
+  void toSymmetricTour(const std::vector<City> &Directed,
+                       std::vector<City> &Symmetric) const;
+  std::vector<City> toSymmetricTour(const std::vector<City> &Directed) const {
+    std::vector<City> Symmetric;
+    toSymmetricTour(Directed, Symmetric);
+    return Symmetric;
+  }
 
-  /// Collapses an alternating symmetric tour back into a directed tour.
-  /// Asserts the tour is alternating (every pair edge present).
-  std::vector<City> toDirectedTour(const std::vector<City> &Symmetric) const;
+  /// Collapses an alternating symmetric tour back into a directed tour,
+  /// written into \p Directed; it starts at city 0. Asserts the tour is
+  /// alternating (every pair edge present).
+  void toDirectedTour(const std::vector<City> &Symmetric,
+                      std::vector<City> &Directed) const;
+  std::vector<City> toDirectedTour(const std::vector<City> &Symmetric) const {
+    std::vector<City> Directed;
+    toDirectedTour(Symmetric, Directed);
+    return Directed;
+  }
 
   /// Converts a symmetric tour cost into the directed tour cost.
   int64_t toDirectedCost(int64_t SymCost) const {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 
 using namespace balign;
@@ -26,6 +27,42 @@ DirectedTsp randomInstance(size_t N, uint64_t Seed, int64_t MaxCost = 100) {
         Dtsp.setCost(I, J, static_cast<int64_t>(R.nextBelow(MaxCost + 1)));
   return Dtsp;
 }
+
+/// Alignment-like random instance: every city has a couple of cheap
+/// arcs (hot CFG edges) over an expensive background.
+DirectedTsp alignmentLikeInstance(size_t N, uint64_t Seed) {
+  Rng R(Seed);
+  DirectedTsp D(N);
+  for (City I = 0; I != N; ++I)
+    for (City J = 0; J != N; ++J)
+      if (I != J)
+        D.setCost(I, J, 200 + static_cast<int64_t>(R.nextBelow(800)));
+  for (City I = 0; I != N; ++I) {
+    for (int Hot = 0; Hot != 2; ++Hot) {
+      City J = static_cast<City>(R.nextIndex(N));
+      if (J != I)
+        D.setCost(I, J, static_cast<int64_t>(R.nextBelow(40)));
+    }
+  }
+  return D;
+}
+
+/// FNV-1a over 64-bit words. Digests pin exact arrays, so a tour that
+/// is merely a rotation or reflection of the expected one still fails.
+struct Digest {
+  uint64_t H = 0xcbf29ce484222325ull;
+  void add(uint64_t V) {
+    for (unsigned Byte = 0; Byte != 8; ++Byte) {
+      H ^= (V >> (8 * Byte)) & 0xff;
+      H *= 0x100000001b3ull;
+    }
+  }
+  void add(const std::vector<City> &Tour) {
+    add(Tour.size());
+    for (City C : Tour)
+      add(C);
+  }
+};
 
 /// Brute-force optimal directed tour cost (city 0 fixed), for N <= 9.
 int64_t bruteForce(const DirectedTsp &D) {
@@ -198,4 +235,127 @@ TEST(IteratedOptTest, DeterministicForFixedSeed) {
   EXPECT_EQ(A.Cost, B.Cost);
   EXPECT_EQ(A.Tour, B.Tour);
   EXPECT_EQ(A.RunsFindingBest, B.RunsFindingBest);
+}
+
+// Pinned trajectories. The local search and the iterated-3-Opt kick loop
+// are performance-critical and have been rewritten for speed under the
+// constraint that every tour stays bit-identical. These digests were
+// captured from the straightforward implementation (Or-opt rebuilding
+// the whole order on every accepted move); any change to the search
+// trajectory, including which rotation of the cyclic tour the array
+// holds, changes them. The corpus reaches both 2-opt orientations,
+// Or-opt insertions before and after the segment, reversed insertions,
+// and segments that wrap past array position 0.
+
+namespace {
+
+const size_t PinnedSizes[] = {4, 5, 8, 13, 30, 57, 103};
+
+/// Digest of the exact arrays localSearchSymmetric leaves behind on
+/// \p N-city inputs: pair-locked transforms from alternating and fully
+/// shuffled starts, seeded restarts after a kick, and plain random
+/// symmetric instances.
+uint64_t localSearchDigest(size_t N) {
+  Digest D;
+  for (uint64_t Seed = 1; Seed != 4; ++Seed) {
+    Rng R(Seed * 1000 + N);
+    for (int Kind = 0; Kind != 2; ++Kind) {
+      DirectedTsp Dtsp = Kind == 0
+                             ? randomInstance(N, Seed * 7919 + N)
+                             : alignmentLikeInstance(N, Seed * 104729 + N);
+      SymmetricTransform T = transformToSymmetric(Dtsp);
+      NeighborLists Neighbors(T.Sym, 12);
+
+      // Alternating start, then a seeded restart after a kick, exactly as
+      // the solver drives it.
+      std::vector<City> Dir = canonicalTour(N);
+      R.shuffle(Dir);
+      std::vector<City> Sym = T.toSymmetricTour(Dir);
+      D.add(static_cast<uint64_t>(localSearchSymmetric(T.Sym, Neighbors, Sym)));
+      D.add(Sym);
+      Dir = T.toDirectedTour(Sym);
+      std::vector<City> Touched;
+      doubleBridge(Dir, R, &Touched);
+      std::vector<City> Seeds;
+      for (City C : Touched) {
+        Seeds.push_back(C);
+        Seeds.push_back(C + static_cast<City>(N));
+      }
+      Sym = T.toSymmetricTour(Dir);
+      D.add(static_cast<uint64_t>(
+          localSearchSymmetric(T.Sym, Neighbors, Sym, &Seeds)));
+      D.add(Sym);
+
+      // Fully shuffled start: pairs begin broken, so long-range moves
+      // and wrapping segments are frequent.
+      Sym = canonicalTour(2 * N);
+      R.shuffle(Sym);
+      D.add(static_cast<uint64_t>(localSearchSymmetric(T.Sym, Neighbors, Sym)));
+      D.add(Sym);
+    }
+
+    // Plain random symmetric instance, seeded with a random subset.
+    SymmetricTsp Plain(N);
+    for (City A = 0; A != N; ++A)
+      for (City B = A + 1; B != N; ++B)
+        Plain.setDist(A, B, static_cast<int64_t>(R.nextBelow(1000)));
+    NeighborLists PlainNeighbors(Plain, 8);
+    std::vector<City> Tour = canonicalTour(N);
+    R.shuffle(Tour);
+    D.add(static_cast<uint64_t>(
+        localSearchSymmetric(Plain, PlainNeighbors, Tour)));
+    D.add(Tour);
+    R.shuffle(Tour);
+    std::vector<City> Seeds(Tour.begin(), Tour.begin() + (N + 1) / 2);
+    D.add(static_cast<uint64_t>(
+        localSearchSymmetric(Plain, PlainNeighbors, Tour, &Seeds)));
+    D.add(Tour);
+  }
+  return D.H;
+}
+
+/// Digest of solveDirectedTsp's full result on \p N-city random and
+/// alignment-like instances.
+uint64_t solverDigest(size_t N) {
+  Digest D;
+  for (int Kind = 0; Kind != 2; ++Kind) {
+    DirectedTsp Dtsp = Kind == 0 ? randomInstance(N, 31 * N + 5)
+                                 : alignmentLikeInstance(N, 37 * N + 11);
+    IteratedOptOptions Options;
+    Options.Seed = 1000 + N + Kind;
+    DtspSolution S = solveDirectedTsp(Dtsp, Options);
+    D.add(S.Tour);
+    D.add(static_cast<uint64_t>(S.Cost));
+    D.add(S.NumRuns);
+    D.add(S.RunsFindingBest);
+  }
+  return D.H;
+}
+
+} // namespace
+
+TEST(PinnedTrajectoryTest, LocalSearchArraysMatchReference) {
+  const uint64_t Expected[] = {
+      0x8fa28e676d10506cull, 0x682b4d6df7f5c73cull, 0xd3351fb73d42f5dbull,
+      0x7af43cea0e9f20b4ull, 0xf7654f3d90f665e3ull, 0xc03d13b1b4b3e487ull,
+      0x0d190715cd198b94ull,
+  };
+  for (size_t I = 0; I != std::size(PinnedSizes); ++I) {
+    uint64_t Got = localSearchDigest(PinnedSizes[I]);
+    EXPECT_EQ(Got, Expected[I])
+        << "N=" << PinnedSizes[I] << " digest 0x" << std::hex << Got;
+  }
+}
+
+TEST(PinnedTrajectoryTest, SolverResultsMatchReference) {
+  const uint64_t Expected[] = {
+      0x9cca828158119264ull, 0x633883f977c1cde8ull, 0x1977268b272a80cdull,
+      0x2ad729e6201007d5ull, 0x7f7f0e3efd8a4102ull, 0x1129b6dfa4c14f24ull,
+      0x9fde25505c155150ull,
+  };
+  for (size_t I = 0; I != std::size(PinnedSizes); ++I) {
+    uint64_t Got = solverDigest(PinnedSizes[I]);
+    EXPECT_EQ(Got, Expected[I])
+        << "N=" << PinnedSizes[I] << " digest 0x" << std::hex << Got;
+  }
 }
