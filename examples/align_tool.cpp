@@ -10,19 +10,14 @@
 // same report, and an `align_tool --serve` reply to the same request is
 // byte-identical to the one-shot stdout.
 //
-// Usage:
-//   align_tool <program.cfg> [--aligner greedy|tsp|cg|original|exttsp]
-//              [--objective fallthrough|exttsp] [--exttsp-window N]
-//              [--exttsp-weights F,B] [--encoding fixed|short-long]
-//              [--short-range N]
-//              [--budget N] [--seed N] [--threads N] [--dot] [--bounds]
+// Usage (`align_tool --help` lists every flag; the report-shaping ones
+// come from serve/RequestFlags.h, shared with balign_client):
+//   align_tool <program.cfg> [report flags] [--threads N] [--dot]
 //              [--profile FILE] [--emit-profile FILE]
 //              [--cache DIR] [--cache-stats] [--batch FILE]
-//              [--on-error abort|fallback|skip] [--time-budget MS]
-//              [--deadline MS] [--checkpoint FILE]
+//              [--time-budget MS] [--deadline MS] [--checkpoint FILE]
 //              [--trace FILE] [--metrics] [--metrics-json FILE]
 //              [--lint[=warn|err]] [--lint-json FILE]
-//              [--effort-policy uniform|scaled|scaled-cold-greedy]
 //              [--serve SOCK|-] [--serve-queue N] [--drain-timeout MS]
 //
 // With no file argument a built-in demo program is used, so the tool is
@@ -286,39 +281,10 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                    Arg.c_str() + std::strlen("--verify="));
       return false;
     } else if (Arg == "--help" || Arg == "-h") {
-      std::printf("usage: align_tool [file.cfg] [--aligner "
-                  "greedy|tsp|cg|original|exttsp] [--budget N] [--seed N] "
-                  "[--threads N] [--dot] [--bounds] "
-                  "[--verify[=quick|full|none]] "
-                  "[--profile FILE] [--emit-profile FILE]\n"
-                  "                  [--cache DIR] [--cache-stats] "
-                  "[--batch FILE]\n"
-                  "  --aligner A   the primary layout, reported next to "
-                  "original and greedy:\n"
-                  "                tsp (default; the DTSP solve), exttsp "
-                  "(Ext-TSP chain merging),\n"
-                  "                cg (Calder-Grunwald), greedy, or "
-                  "original\n"
-                  "  --objective O fallthrough|exttsp: what the exttsp "
-                  "aligner maximizes\n"
-                  "                (default exttsp)\n"
-                  "  --exttsp-window N  Ext-TSP forward/backward window in "
-                  "bytes, in\n"
-                  "                [1, 1048576] (defaults 1024 forward / "
-                  "640 backward)\n"
-                  "  --exttsp-weights F,B  Ext-TSP forward,backward jump "
-                  "weights as\n"
-                  "                decimals in [0, 1024] (default 0.1,0.1)\n"
-                  "  --encoding E  branch encoding: fixed (default; every "
-                  "branch is one\n"
-                  "                instruction) or short-long (branches "
-                  "beyond the short\n"
-                  "                range grow and are re-priced by the "
-                  "displacement fixpoint)\n"
-                  "  --short-range N  short-form branch reach in bytes "
-                  "under --encoding\n"
-                  "                short-long (default 32768; 0 forces "
-                  "every branch long)\n"
+      std::printf("usage: align_tool [file.cfg] [flags] [--dot] "
+                  "[--verify[=quick|full|none]]\n"
+                  "                  [--profile FILE] [--emit-profile "
+                  "FILE]\n%s"
                   "  --threads N   pipeline worker threads "
                   "(0 = all hardware threads, 1 = serial;\n"
                   "                results are identical at every "
@@ -335,11 +301,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "shared cache session;\n"
                   "                malformed entries are skipped with an "
                   "error line (exit 3)\n"
-                  "  --on-error P  per-procedure failure policy: abort "
-                  "(default, exit 2),\n"
-                  "                fallback (degrade greedy -> original, "
-                  "exit 0), or skip\n"
-                  "                (keep the original layout, exit 0)\n"
                   "  --time-budget MS  per-procedure solver budget; a "
                   "trip is handled per\n"
                   "                --on-error (tripped results are never "
@@ -368,12 +329,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "(a per-entry array in\n"
                   "                --batch mode); implies --lint=warn "
                   "unless --lint was given\n"
-                  "  --effort-policy P  spread solver effort per "
-                  "procedure: uniform (default),\n"
-                  "                scaled (kicks follow loop nesting and "
-                  "hotness), or\n"
-                  "                scaled-cold-greedy (cold procedures "
-                  "skip the solver)\n"
                   "  --serve PATH  run as a persistent alignment server "
                   "on unix socket PATH\n"
                   "                (or - for stdin/stdout): clients send "
@@ -397,7 +352,8 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
                   "--on-error=abort, 3 batch finished with failed "
                   "entries, 4 a serve drain\n"
                   "was forced (in-flight work abandoned; the cache was "
-                  "still flushed)\n");
+                  "still flushed)\n",
+                  requestFlagsHelp().c_str());
       return false;
     } else if (!Arg.empty() && Arg[0] != '-') {
       Options.File = Arg;

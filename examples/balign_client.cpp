@@ -9,20 +9,13 @@
 // so a shell script can health-check, scrape, and stop a server.
 //
 // Usage:
-//   balign_client SOCK [file.cfg] [--profile FILE] [--seed N]
-//                 [--budget N] [--bounds] [--deadline MS]
-//                 [--on-error abort|fallback|skip]
-//                 [--effort-policy uniform|scaled|scaled-cold-greedy]
-//                 [--aligner tsp|exttsp|cg|greedy|original]
-//                 [--objective fallthrough|exttsp] [--exttsp-window N]
-//                 [--exttsp-weights F,B] [--encoding fixed|short-long]
-//                 [--short-range N]
-//                 [--batch LIST] [--retry N] [--retry-backoff MS]
-//                 [--ping] [--metrics] [--shutdown]
+//   balign_client SOCK [file.cfg] [report flags] [--profile FILE]
+//                 [--deadline MS] [--batch LIST] [--retry N]
+//                 [--retry-backoff MS] [--ping] [--metrics] [--shutdown]
 //
-// The flags that shape the report are parsed by the same code as
-// align_tool's (serve/RequestFlags.h), so they mean exactly what they
-// mean there.
+// The report flags are parsed by the same code as align_tool's
+// (serve/RequestFlags.h), so they mean exactly what they mean there;
+// `--help` lists them.
 //
 // Request order on one connection: ping first (when asked), then the
 // align for file.cfg (or each line of --batch LIST), then metrics,
@@ -107,29 +100,26 @@ bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
     } else if (Arg == "--shutdown") {
       Options.Shutdown = true;
     } else if (Arg == "--help" || Arg == "-h") {
-      std::printf("usage: balign_client SOCK [file.cfg] [--profile FILE] "
-                  "[--seed N] [--budget N]\n"
-                  "                     [--bounds] [--deadline MS] "
-                  "[--on-error abort|fallback|skip]\n"
-                  "                     [--effort-policy P] "
-                  "[--aligner tsp|exttsp|cg|greedy|original]\n"
-                  "                     [--objective fallthrough|exttsp] "
-                  "[--exttsp-window N]\n"
-                  "                     [--exttsp-weights F,B] "
-                  "[--encoding fixed|short-long]\n"
-                  "                     [--short-range N] "
-                  "[--batch LIST] [--retry N]\n"
-                  "                     [--retry-backoff MS] [--ping] "
-                  "[--metrics] [--shutdown]\n"
+      std::printf("usage: balign_client SOCK [file.cfg] [flags]\n%s"
+                  "  --profile FILE  send this training profile instead "
+                  "of a synthesized one\n"
+                  "  --deadline MS per-request deadline (0 = the "
+                  "server's default)\n"
+                  "  --batch LIST  align every .cfg named in LIST (one "
+                  "path per line)\n"
+                  "  --retry N     attempts per request; transport "
+                  "failures are resent\n"
+                  "                idempotently\n"
+                  "  --retry-backoff MS  first retry delay, doubling per "
+                  "attempt\n"
+                  "  --ping, --metrics, --shutdown  the service frames\n"
                   "Sends requests to an `align_tool --serve SOCK` server; "
                   "align reports go to\n"
-                  "stdout byte-identical to one-shot align_tool. --batch "
-                  "LIST aligns every .cfg\n"
-                  "named in LIST (one path per line); --retry N resends "
-                  "transport-failed\n"
-                  "requests idempotently. Exit: 0 ok, 1 usage or local "
-                  "file error, 2 a\n"
-                  "connect/transport failure or a server error frame.\n");
+                  "stdout byte-identical to one-shot align_tool. Exit: 0 "
+                  "ok, 1 usage or local\n"
+                  "file error, 2 a connect/transport failure or a server "
+                  "error frame.\n",
+                  requestFlagsHelp().c_str());
       return false;
     } else if (!Arg.empty() && Arg[0] != '-') {
       if (Options.Socket.empty())

@@ -13,29 +13,6 @@ using namespace balign;
 
 Aligner::~Aligner() = default;
 
-namespace {
-
-/// The name table, indexed by PrimaryAligner value.
-constexpr const char *PrimaryAlignerNames[NumPrimaryAligners] = {
-    "tsp", "exttsp", "cg", "greedy", "original"};
-
-} // namespace
-
-const char *balign::primaryAlignerName(PrimaryAligner Primary) {
-  auto Index = static_cast<uint8_t>(Primary);
-  return Index < NumPrimaryAligners ? PrimaryAlignerNames[Index] : "unknown";
-}
-
-bool balign::parsePrimaryAligner(const std::string &Name,
-                                 PrimaryAligner &Out) {
-  for (uint8_t I = 0; I != NumPrimaryAligners; ++I)
-    if (Name == PrimaryAlignerNames[I]) {
-      Out = static_cast<PrimaryAligner>(I);
-      return true;
-    }
-  return false;
-}
-
 std::unique_ptr<Aligner> balign::makeAligner(PrimaryAligner Primary,
                                              ObjectiveKind Objective,
                                              const IteratedOptOptions &Solver) {

@@ -157,15 +157,17 @@ enum class PrimaryAligner : uint8_t {
   Original = 4, ///< OriginalAligner (the identity layout).
 };
 
-/// Number of PrimaryAligner values; every value below it is defined.
-inline constexpr uint8_t NumPrimaryAligners = 5;
+/// Stable flag spellings, in value order; each equals the name() of the
+/// aligner makeAligner returns.
+inline constexpr auto PrimaryAlignerNames =
+    enumNames<PrimaryAligner>("tsp", "exttsp", "cg", "greedy", "original");
+static_assert(PrimaryAlignerNames.count() ==
+              static_cast<size_t>(PrimaryAligner::Original) + 1);
 
-/// Stable flag spelling ("tsp", "exttsp", "cg", "greedy", "original"),
-/// equal to the name() of the aligner makeAligner returns.
-const char *primaryAlignerName(PrimaryAligner Primary);
-
-/// Parses a primaryAlignerName spelling; returns false on unknown names.
-bool parsePrimaryAligner(const std::string &Name, PrimaryAligner &Out);
+/// The report's primary-column heading: PrimaryAlignerNames' spelling.
+inline const char *primaryAlignerName(PrimaryAligner Primary) {
+  return PrimaryAlignerNames.name(Primary);
+}
 
 /// The one aligner factory. \p Objective configures ExtTsp and \p Solver
 /// configures Tsp; the other aligners ignore both.

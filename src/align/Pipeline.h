@@ -134,6 +134,12 @@ enum class OnErrorPolicy : uint8_t {
   Skip,
 };
 
+/// Stable flag spellings (--on-error), in value order.
+inline constexpr auto OnErrorPolicyNames =
+    enumNames<OnErrorPolicy>("abort", "fallback", "skip");
+static_assert(OnErrorPolicyNames.count() ==
+              static_cast<size_t>(OnErrorPolicy::Skip) + 1);
+
 /// Thrown by alignProgram under OnErrorPolicy::Abort: carries the first
 /// per-procedure failure in program order (deterministic at any thread
 /// count).

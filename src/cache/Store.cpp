@@ -7,6 +7,7 @@
 #include "robust/CrashInjector.h"
 #include "robust/Durability.h"
 #include "robust/FaultInjector.h"
+#include "support/Bytes.h"
 #include "support/Timer.h"
 #include "trace/Scope.h"
 
@@ -38,31 +39,6 @@ constexpr uint32_t MaxReasonablePayload = 64u << 20;
 // Little-endian byte (de)serialization of ProcedureAlignment payloads.
 //===--------------------------------------------------------------------===//
 
-/// write(2) all of it, absorbing EINTR and short writes.
-bool writeAll(int Fd, const uint8_t *Data, size_t Size) {
-  while (Size != 0) {
-    ssize_t N = ::write(Fd, Data, Size);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Data += N;
-    Size -= static_cast<size_t>(N);
-  }
-  return true;
-}
-
-void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
 void putLayout(std::vector<uint8_t> &Out, const Layout &L) {
   putU32(Out, static_cast<uint32_t>(L.Order.size()));
   for (BlockId Id : L.Order)
@@ -88,67 +64,32 @@ std::vector<uint8_t> encodeAlignment(const ProcedureAlignment &PA) {
   return Out;
 }
 
-/// Bounds-checked reader over a byte span; any out-of-range read sets
-/// Failed and sticks.
-struct ByteReader {
-  const uint8_t *Data;
-  size_t Size;
-  size_t Pos = 0;
-  bool Failed = false;
-
-  uint32_t u32() {
-    if (Failed || Size - Pos < 4) {
-      Failed = true;
-      return 0;
-    }
-    uint32_t V = 0;
-    for (int I = 0; I != 4; ++I)
-      V |= static_cast<uint32_t>(Data[Pos + I]) << (8 * I);
-    Pos += 4;
-    return V;
-  }
-
-  uint64_t u64() {
-    if (Failed || Size - Pos < 8) {
-      Failed = true;
-      return 0;
-    }
-    uint64_t V = 0;
-    for (int I = 0; I != 8; ++I)
-      V |= static_cast<uint64_t>(Data[Pos + I]) << (8 * I);
-    Pos += 8;
-    return V;
-  }
-};
-
 bool decodeLayout(ByteReader &R, Layout &L) {
-  uint32_t Len = R.u32();
-  if (R.Failed || static_cast<size_t>(Len) * 4 > R.Size - R.Pos)
+  uint32_t Len = 0;
+  if (!R.u32(Len) || static_cast<size_t>(Len) * 4 > R.remaining())
     return false;
-  L.Order.clear();
-  L.Order.reserve(Len);
-  for (uint32_t I = 0; I != Len; ++I)
-    L.Order.push_back(R.u32());
-  return !R.Failed;
+  L.Order.resize(Len);
+  for (BlockId &Id : L.Order)
+    R.u32(Id); // In bounds: the length was checked against the payload.
+  return true;
 }
 
 bool decodeAlignment(const std::vector<uint8_t> &Payload,
                      ProcedureAlignment &PA) {
-  ByteReader R{Payload.data(), Payload.size()};
+  ByteReader R(Payload.data(), Payload.size());
+  uint64_t HkBits = 0, Assignment = 0, AssignmentCycles = 0;
   if (!decodeLayout(R, PA.OriginalLayout) ||
-      !decodeLayout(R, PA.GreedyLayout) || !decodeLayout(R, PA.TspLayout))
+      !decodeLayout(R, PA.GreedyLayout) || !decodeLayout(R, PA.TspLayout) ||
+      !R.u64(PA.OriginalPenalty) || !R.u64(PA.GreedyPenalty) ||
+      !R.u64(PA.TspPenalty) || !R.u64(HkBits) || !R.u64(Assignment) ||
+      !R.u64(AssignmentCycles) || !R.u32(PA.SolverRuns) ||
+      !R.u32(PA.RunsFindingBest))
     return false;
-  PA.OriginalPenalty = R.u64();
-  PA.GreedyPenalty = R.u64();
-  PA.TspPenalty = R.u64();
-  uint64_t HkBits = R.u64();
   std::memcpy(&PA.Bounds.HeldKarp, &HkBits, sizeof(HkBits));
-  PA.Bounds.Assignment = static_cast<int64_t>(R.u64());
-  PA.Bounds.AssignmentCycles = static_cast<size_t>(R.u64());
-  PA.SolverRuns = R.u32();
-  PA.RunsFindingBest = R.u32();
+  PA.Bounds.Assignment = static_cast<int64_t>(Assignment);
+  PA.Bounds.AssignmentCycles = static_cast<size_t>(AssignmentCycles);
   // Trailing bytes mean the payload is not what the encoder produced.
-  return !R.Failed && R.Pos == R.Size;
+  return R.atEnd();
 }
 
 /// Semantic hit validation: the decoded result must be something
@@ -271,7 +212,9 @@ void AlignmentCache::loadFromDisk() {
   // old version, an absurd length field, a checksum mismatch) is
   // invalidation: the store was read fine but its content is discarded.
   if (File.size() < HeaderBytes) {
-    if (std::memcmp(File.data(), StoreMagic,
+    // An empty file's data() may be null, which memcmp must never see.
+    if (File.empty() ||
+        std::memcmp(File.data(), StoreMagic,
                     std::min(File.size(), sizeof(StoreMagic))) == 0) {
       ++Stats.LoadFailures; // Our store, cut off mid-header.
       scopeCounterAdd("cache.load-failures");
@@ -286,46 +229,45 @@ void AlignmentCache::loadFromDisk() {
     scopeCounterAdd("cache.invalidations");
     return;
   }
+  ByteReader In(File.data(), File.size());
   uint32_t Version = 0;
-  std::memcpy(&Version, File.data() + sizeof(StoreMagic), sizeof(Version));
+  In.skip(sizeof(StoreMagic));
+  In.u32(Version);
   if (Version != CacheFormatVersion) {
     ++Stats.Invalidations; // Old format: discard wholesale.
     scopeCounterAdd("cache.invalidations");
     return;
   }
+  In.skip(sizeof(uint32_t)); // Reserved.
 
   uint64_t Salvaged = 0;
   bool SawCorruption = false;
-  size_t Pos = HeaderBytes;
-  while (Pos < File.size()) {
-    if (File.size() - Pos < EntryOverheadBytes) {
+  while (!In.atEnd()) {
+    Fingerprint Key;
+    uint32_t PayloadSize = 0;
+    if (In.remaining() < EntryOverheadBytes) {
       ++Stats.LoadFailures; // Truncated mid-entry: partial load.
       scopeCounterAdd("cache.load-failures");
       SawCorruption = true;
       break;
     }
-    ByteReader R{File.data() + Pos, File.size() - Pos};
-    Fingerprint Key;
-    Key.Hi = R.u64();
-    Key.Lo = R.u64();
-    uint32_t PayloadSize = R.u32();
+    In.u64(Key.Hi);
+    In.u64(Key.Lo);
+    In.u32(PayloadSize);
     if (PayloadSize > MaxReasonablePayload) {
       ++Stats.Invalidations; // Corrupt length field; cannot resync.
       scopeCounterAdd("cache.invalidations");
       SawCorruption = true;
       break;
     }
-    if (File.size() - Pos - R.Pos < PayloadSize + sizeof(uint64_t)) {
+    std::vector<uint8_t> Payload;
+    uint64_t Checksum = 0;
+    if (!In.bytes(PayloadSize, Payload) || !In.u64(Checksum)) {
       ++Stats.LoadFailures; // Truncated mid-payload: partial load.
       scopeCounterAdd("cache.load-failures");
       SawCorruption = true;
       break;
     }
-    std::vector<uint8_t> Payload(File.data() + Pos + R.Pos,
-                                 File.data() + Pos + R.Pos + PayloadSize);
-    R.Pos += PayloadSize;
-    uint64_t Checksum = R.u64();
-    Pos += R.Pos;
     if (Checksum !=
         entryChecksum(Key.Hi, Key.Lo, Payload.data(), Payload.size())) {
       ++Stats.Invalidations; // Bit rot; sizes were plausible, so the
@@ -521,11 +463,11 @@ bool AlignmentCache::flush(std::string *Error) {
         // The half-file carries the tmp suffix, so the live store under
         // the final name is untouched and the next run ignores the husk.
         size_t Half = File.size() / 2;
-        bool Written = writeAll(TmpFd, File.data(), Half);
+        bool Written = writeFull(TmpFd, File.data(), Half);
         if (Written)
           CrashInjector::instance().crashPoint(CrashSite::CacheTmpWrite);
         Written = Written &&
-                  writeAll(TmpFd, File.data() + Half, File.size() - Half);
+                  writeFull(TmpFd, File.data() + Half, File.size() - Half);
         // fsync before rename: without it the rename can land while the
         // tmp file's data is still only in the page cache, and a power
         // cut then leaves a torn file under the *final* name.

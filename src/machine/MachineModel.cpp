@@ -4,29 +4,6 @@
 
 using namespace balign;
 
-const char *balign::branchEncodingName(BranchEncoding Encoding) {
-  switch (Encoding) {
-  case BranchEncoding::Fixed:
-    return "fixed";
-  case BranchEncoding::ShortLong:
-    return "short-long";
-  }
-  return "unknown";
-}
-
-bool balign::parseBranchEncoding(const std::string &Name,
-                                 BranchEncoding &Out) {
-  if (Name == "fixed") {
-    Out = BranchEncoding::Fixed;
-    return true;
-  }
-  if (Name == "short-long") {
-    Out = BranchEncoding::ShortLong;
-    return true;
-  }
-  return false;
-}
-
 MachineModel MachineModel::alpha21164() {
   MachineModel Model;
   Model.Name = "alpha21164";

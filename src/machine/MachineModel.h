@@ -32,6 +32,8 @@
 #ifndef BALIGN_MACHINE_MACHINEMODEL_H
 #define BALIGN_MACHINE_MACHINEMODEL_H
 
+#include "support/EnumNames.h"
+
 #include <cstdint>
 #include <string>
 
@@ -67,11 +69,11 @@ enum class BranchEncoding : uint8_t {
   ShortLong = 1,
 };
 
-/// Stable flag spelling ("fixed" / "short-long").
-const char *branchEncodingName(BranchEncoding Encoding);
-
-/// Parses a branchEncodingName spelling; returns false on unknown names.
-bool parseBranchEncoding(const std::string &Name, BranchEncoding &Out);
+/// Stable flag spellings, in value order.
+inline constexpr auto BranchEncodingNames =
+    enumNames<BranchEncoding>("fixed", "short-long");
+static_assert(BranchEncodingNames.count() ==
+              static_cast<size_t>(BranchEncoding::ShortLong) + 1);
 
 /// Penalty cycles for every block-ending control event, per terminator
 /// kind. All values are per dynamic execution of the event.
@@ -115,6 +117,14 @@ struct MachineModel {
   double ExtTspForwardWeight = 0.1;
   double ExtTspBackwardWeight = 0.1;
 
+  /// Accepted Ext-TSP windows and weights (flags and wire requests
+  /// alike). A zero window makes every jump worthless and a huge one
+  /// makes the linear decay meaningless; both are almost certainly
+  /// typos, so they are rejected rather than run.
+  static constexpr uint32_t MinExtTspWindow = 1;
+  static constexpr uint32_t MaxExtTspWindow = 1u << 20;
+  static constexpr double MaxExtTspWeight = 1024.0;
+
   /// Branch-encoding table. Under the default Fixed encoding everything
   /// below is inert and addresses are exactly InstrCount * BytesPerInstr
   /// — existing goldens and cache entries depend on that. Under
@@ -136,6 +146,11 @@ struct MachineModel {
   /// Extra penalty cycles a long-form branch pays per taken execution
   /// (the extra issue slot of the jump in the inverted-branch sequence).
   uint32_t LongBranchPenalty = 1;
+
+  /// Upper bound on LongBranchExtraInstrs and LongBranchPenalty in a
+  /// wire request (no flag sets either); far beyond any real ISA's
+  /// long-branch sequence.
+  static constexpr uint32_t MaxLongBranchCost = 1u << 20;
 
   /// The Alpha 21164 model of Table 3 (misfetch 1, cond mispredict 5).
   static MachineModel alpha21164();

@@ -40,11 +40,11 @@ enum class ObjectiveKind : uint8_t {
   ExtTsp = 1,      ///< Windowed locality score (Newell/Pupyrev).
 };
 
-/// Stable flag spelling ("fallthrough" / "exttsp").
-const char *objectiveKindName(ObjectiveKind Kind);
-
-/// Parses an objectiveKindName spelling; returns false on unknown names.
-bool parseObjectiveKind(const std::string &Name, ObjectiveKind &Out);
+/// Stable flag spellings, in value order.
+inline constexpr auto ObjectiveKindNames =
+    enumNames<ObjectiveKind>("fallthrough", "exttsp");
+static_assert(ObjectiveKindNames.count() ==
+              static_cast<size_t>(ObjectiveKind::ExtTsp) + 1);
 
 /// A score over arrangements of basic blocks; higher is better.
 class ObjectiveFn {

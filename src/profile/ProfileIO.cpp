@@ -3,6 +3,7 @@
 #include "profile/ProfileIO.h"
 
 #include "robust/FaultInjector.h"
+#include "support/Parse.h"
 #include "trace/Scope.h"
 
 #include <cassert>
@@ -78,22 +79,15 @@ struct ProfileParser {
   }
 };
 
-bool parseUInt(const std::string &Text, uint64_t &Out) {
-  if (Text.empty() || Text.size() > 20)
-    return false;
-  Out = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t Digit = static_cast<uint64_t>(C - '0');
-    // Reject anything past 2^64-1 (profiles with saturated hardware
-    // counters legitimately carry the UINT64_MAX sentinel itself, and
-    // the lint saturation check wants to see it).
-    if (Out > UINT64_MAX / 10 || Out * 10 > UINT64_MAX - Digit)
-      return false;
-    Out = Out * 10 + Digit;
-  }
-  return true;
+/// Reads one count. Profiles are untrusted input: beyond parseFlagInt's
+/// strict decimal rule, a token longer than UINT64_MAX's 20 digits is
+/// rejected even when zero-padded. Counts up to UINT64_MAX itself are
+/// accepted — profiles with saturated hardware counters legitimately
+/// carry that sentinel, and the lint saturation check wants to see it.
+std::optional<uint64_t> parseCount(std::string_view Text) {
+  if (Text.size() > 20)
+    return std::nullopt;
+  return parseFlagInt(Text);
 }
 
 } // namespace
@@ -174,12 +168,12 @@ balign::parseProgramProfile(const Program &Prog, const std::string &Text,
         return std::nullopt;
       }
       BlockSeen[Id] = true;
-      uint64_t Count = 0;
-      if (!parseUInt(Tokens[1], Count)) {
+      std::optional<uint64_t> Count = parseCount(Tokens[1]);
+      if (!Count) {
         P.fail("bad block count '" + Tokens[1] + "'");
         return std::nullopt;
       }
-      PP.BlockCounts[Id] = Count;
+      PP.BlockCounts[Id] = *Count;
 
       const std::vector<BlockId> &Succs = Proc.successors(Id);
       std::vector<bool> EdgeSeen(Succs.size(), false);
@@ -197,8 +191,9 @@ balign::parseProgramProfile(const Program &Prog, const std::string &Text,
           return std::nullopt;
         }
         std::string SuccName = Tokens[T].substr(0, Colon);
-        uint64_t EdgeCount = 0;
-        if (!parseUInt(Tokens[T].substr(Colon + 1), EdgeCount)) {
+        std::optional<uint64_t> EdgeCount =
+            parseCount(std::string_view(Tokens[T]).substr(Colon + 1));
+        if (!EdgeCount) {
           P.fail("bad edge count in '" + Tokens[T] + "'");
           return std::nullopt;
         }
@@ -215,7 +210,7 @@ balign::parseProgramProfile(const Program &Prog, const std::string &Text,
               return std::nullopt;
             }
             EdgeSeen[S] = true;
-            PP.EdgeCounts[Id][S] = EdgeCount;
+            PP.EdgeCounts[Id][S] = *EdgeCount;
             Matched = true;
             break;
           }

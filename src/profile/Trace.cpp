@@ -114,7 +114,7 @@ ExecutionTrace balign::generateTrace(const Procedure &Proc,
       if (Block.Kind == TerminatorKind::Return)
         break;
       if (++Steps > Options.MaxBlocksPerInvocation)
-        break;
+        return Trace; // Trapped: see TraceGenOptions.
       size_t Choice;
       if (BranchesExecuted >= Options.BranchBudget &&
           ExitSucc[Current] != NoExit) {

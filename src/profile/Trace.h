@@ -64,7 +64,10 @@ struct TraceGenOptions {
 
   /// Hard cap on blocks per invocation; guards against behaviors whose
   /// loops almost never exit. An invocation hitting the cap is abandoned
-  /// mid-walk (its blocks so far stay in the trace).
+  /// mid-walk (its blocks so far stay in the trace) and ends the trace:
+  /// the next walk would likely be trapped the same way, and a loop of
+  /// unconditional jumps spends none of BranchBudget, so walking on
+  /// would grow the trace without bound.
   uint64_t MaxBlocksPerInvocation = 1u << 20;
 };
 

@@ -4,6 +4,7 @@
 
 #include "robust/CrashInjector.h"
 #include "robust/FaultInjector.h"
+#include "support/Bytes.h"
 
 #include <cerrno>
 #include <cstdio>
@@ -26,47 +27,6 @@ constexpr size_t HeaderBytes = sizeof(AppendJournal::Magic) +
 /// Checkpoint records are file paths; anything near this is a corrupt
 /// length field, not a record.
 constexpr uint32_t MaxRecordBytes = 1u << 20;
-/// Bytes around one record beyond its payload (u32 size + u64 checksum).
-constexpr size_t RecordOverheadBytes = sizeof(uint32_t) + sizeof(uint64_t);
-
-void putU32(std::string &Out, uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    Out.push_back(static_cast<char>(V >> (8 * I)));
-}
-
-void putU64(std::string &Out, uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    Out.push_back(static_cast<char>(V >> (8 * I)));
-}
-
-uint32_t readU32(const char *P) {
-  uint32_t V = 0;
-  for (int I = 0; I != 4; ++I)
-    V |= static_cast<uint32_t>(static_cast<uint8_t>(P[I])) << (8 * I);
-  return V;
-}
-
-uint64_t readU64(const char *P) {
-  uint64_t V = 0;
-  for (int I = 0; I != 8; ++I)
-    V |= static_cast<uint64_t>(static_cast<uint8_t>(P[I])) << (8 * I);
-  return V;
-}
-
-/// write(2) all of it, absorbing EINTR and short writes.
-bool writeAll(int Fd, const char *Data, size_t Size) {
-  while (Size != 0) {
-    ssize_t N = ::write(Fd, Data, Size);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Data += N;
-    Size -= static_cast<size_t>(N);
-  }
-  return true;
-}
 
 std::string headerBytes() {
   std::string Out(AppendJournal::Magic, sizeof(AppendJournal::Magic));
@@ -122,7 +82,7 @@ void AppendJournal::close() {
 
 bool AppendJournal::writeHeaderLocked(std::string *Error) {
   std::string Header = headerBytes();
-  if (!writeAll(Fd, Header.data(), Header.size())) {
+  if (!writeFull(Fd, Header.data(), Header.size())) {
     if (Error)
       *Error = "cannot write journal header to '" + Path +
                "': " + std::strerror(errno);
@@ -160,7 +120,7 @@ bool AppendJournal::migrateLegacy(const std::string &Contents,
   std::string TmpPath = Path + ".tmp." + std::to_string(::getpid());
   int TmpFd = ::open(TmpPath.c_str(),
                      O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (TmpFd < 0 || !writeAll(TmpFd, NewContents.data(),
+  if (TmpFd < 0 || !writeFull(TmpFd, NewContents.data(),
                              NewContents.size()) ||
       (Durable == Durability::Full && !fsyncFd(TmpFd))) {
     if (Error)
@@ -233,7 +193,10 @@ bool AppendJournal::open(const std::string &Path, std::string *Error) {
     return writeHeaderLocked(Error) || (close(), false);
   }
 
-  uint32_t Version = readU32(Contents.data() + sizeof(Magic));
+  ByteReader In(Contents);
+  uint32_t Version = 0;
+  In.skip(sizeof(Magic));
+  In.u32(Version);
   if (Version != FormatVersion) {
     // Refuse rather than guess: silently clobbering a future-format
     // journal could re-run (or skip) someone's completed work.
@@ -243,25 +206,21 @@ bool AppendJournal::open(const std::string &Path, std::string *Error) {
     close();
     return false;
   }
+  In.skip(sizeof(uint32_t)); // Reserved.
 
-  size_t Pos = HeaderBytes;
-  size_t GoodEnd = Pos;
-  while (Pos < Contents.size()) {
-    if (Contents.size() - Pos < sizeof(uint32_t))
-      break; // Torn mid-size.
-    uint32_t Size = readU32(Contents.data() + Pos);
-    if (Size > MaxRecordBytes)
-      break; // Corrupt length field.
-    if (Contents.size() - Pos - sizeof(uint32_t) <
-        Size + sizeof(uint64_t))
-      break; // Torn mid-record or mid-checksum.
-    const char *Bytes = Contents.data() + Pos + sizeof(uint32_t);
-    uint64_t Checksum = readU64(Bytes + Size);
-    if (Checksum != journalChecksum(Bytes, Size))
-      break; // Bit rot at the tail; everything before it is good.
-    Records.emplace_back(Bytes, Size);
-    Pos += RecordOverheadBytes + Size;
-    GoodEnd = Pos;
+  size_t GoodEnd = In.pos();
+  while (!In.atEnd()) {
+    uint32_t Size = 0;
+    std::string Record;
+    uint64_t Checksum = 0;
+    // Stop at the first torn size, corrupt length field, torn record or
+    // checksum, or bit rot: everything before it is good.
+    if (!In.u32(Size) || Size > MaxRecordBytes || !In.bytes(Size, Record) ||
+        !In.u64(Checksum) ||
+        Checksum != journalChecksum(Record.data(), Record.size()))
+      break;
+    Records.push_back(std::move(Record));
+    GoodEnd = In.pos();
   }
   Stats.Records = Records.size();
   if (GoodEnd < Contents.size()) {
@@ -308,10 +267,10 @@ bool AppendJournal::append(const std::string &Record, std::string *Error) {
   // balign-sentinel crash site: die with only half the record written —
   // the torn tail open()'s salvage must truncate away.
   size_t Half = Encoded.size() / 2;
-  bool Ok = writeAll(Fd, Encoded.data(), Half);
+  bool Ok = writeFull(Fd, Encoded.data(), Half);
   if (Ok)
     CrashInjector::instance().crashPoint(CrashSite::CheckpointAppend);
-  Ok = Ok && writeAll(Fd, Encoded.data() + Half, Encoded.size() - Half);
+  Ok = Ok && writeFull(Fd, Encoded.data() + Half, Encoded.size() - Half);
   if (Ok && Durable == Durability::Full)
     Ok = fsyncFd(Fd);
   if (!Ok) {

@@ -13,65 +13,6 @@ using namespace balign;
 
 namespace {
 
-void putU32(std::string &Out, uint32_t Value) {
-  for (int Shift = 0; Shift != 32; Shift += 8)
-    Out.push_back(static_cast<char>((Value >> Shift) & 0xff));
-}
-
-void putU64(std::string &Out, uint64_t Value) {
-  for (int Shift = 0; Shift != 64; Shift += 8)
-    Out.push_back(static_cast<char>((Value >> Shift) & 0xff));
-}
-
-/// Bounds-checked little-endian reads over a body string. Every getter
-/// fails (returns false) instead of over-reading, which is what keeps
-/// arbitrary fuzz bytes crash-free.
-class BodyReader {
-public:
-  explicit BodyReader(const std::string &Body) : Body(Body) {}
-
-  bool u8(uint8_t &Out) {
-    if (Pos + 1 > Body.size())
-      return false;
-    Out = static_cast<uint8_t>(Body[Pos++]);
-    return true;
-  }
-
-  bool u32(uint32_t &Out) {
-    if (Pos + 4 > Body.size())
-      return false;
-    Out = 0;
-    for (int Shift = 0; Shift != 32; Shift += 8)
-      Out |= static_cast<uint32_t>(static_cast<uint8_t>(Body[Pos++]))
-             << Shift;
-    return true;
-  }
-
-  bool u64(uint64_t &Out) {
-    if (Pos + 8 > Body.size())
-      return false;
-    Out = 0;
-    for (int Shift = 0; Shift != 64; Shift += 8)
-      Out |= static_cast<uint64_t>(static_cast<uint8_t>(Body[Pos++]))
-             << Shift;
-    return true;
-  }
-
-  bool bytes(size_t Count, std::string &Out) {
-    if (Count > Body.size() - Pos)
-      return false;
-    Out.assign(Body, Pos, Count);
-    Pos += Count;
-    return true;
-  }
-
-  bool atEnd() const { return Pos == Body.size(); }
-
-private:
-  const std::string &Body;
-  size_t Pos = 0;
-};
-
 bool fail(std::string *Error, const char *Reason) {
   if (Error)
     *Error = Reason;
@@ -251,7 +192,7 @@ std::string balign::encodeAlignRequest(const AlignRequest &Request) {
 
 bool balign::decodeAlignRequest(const std::string &Body, AlignRequest &Out,
                                 std::string *Error) {
-  BodyReader In(Body);
+  ByteReader In(Body);
   uint8_t Effort = 0, OnError = 0, Flags = 0, Reserved = 0;
   uint32_t CfgLen = 0, ProfLen = 0;
   if (!In.u64(Out.Seed) || !In.u64(Out.Budget) || !In.u32(Out.DeadlineMs) ||
@@ -259,14 +200,12 @@ bool balign::decodeAlignRequest(const std::string &Body, AlignRequest &Out,
     return fail(Error, "align request body shorter than its fixed fields");
   if (Reserved != 0)
     return fail(Error, "align request reserved byte is nonzero");
-  if (Effort > static_cast<uint8_t>(EffortPolicy::ScaledColdGreedy))
+  if (!EffortPolicyNames.fromByte(Effort, Out.Effort))
     return fail(Error, "align request names an unknown effort policy");
-  if (OnError > static_cast<uint8_t>(OnErrorPolicy::Skip))
+  if (!OnErrorPolicyNames.fromByte(OnError, Out.OnError))
     return fail(Error, "align request names an unknown on-error policy");
   if (Flags & ~uint8_t(15))
     return fail(Error, "align request sets unknown flag bits");
-  Out.Effort = static_cast<EffortPolicy>(Effort);
-  Out.OnError = static_cast<OnErrorPolicy>(OnError);
   Out.ComputeBounds = (Flags & 1) != 0;
   Out.HasProfile = (Flags & 2) != 0;
   Out.HasObjective = (Flags & 4) != 0;
@@ -286,23 +225,26 @@ bool balign::decodeAlignRequest(const std::string &Body, AlignRequest &Out,
         !In.u32(Out.ExtTspBackwardWindow) || !In.u64(FwdBits) ||
         !In.u64(BwdBits))
       return fail(Error, "align request objective extension is truncated");
-    if (Primary >= NumPrimaryAligners)
+    if (!PrimaryAlignerNames.fromByte(Primary, Out.Primary))
       return fail(Error, "align request names an unknown primary aligner");
-    if (Objective > static_cast<uint8_t>(ObjectiveKind::ExtTsp))
+    if (!ObjectiveKindNames.fromByte(Objective, Out.Objective))
       return fail(Error, "align request names an unknown objective");
-    if (Out.ExtTspForwardWindow < 1 || Out.ExtTspForwardWindow > (1u << 20) ||
-        Out.ExtTspBackwardWindow < 1 || Out.ExtTspBackwardWindow > (1u << 20))
+    auto windowOk = [](uint32_t Window) {
+      return Window >= MachineModel::MinExtTspWindow &&
+             Window <= MachineModel::MaxExtTspWindow;
+    };
+    if (!windowOk(Out.ExtTspForwardWindow) ||
+        !windowOk(Out.ExtTspBackwardWindow))
       return fail(Error, "align request Ext-TSP window is out of range");
-    Out.Primary = static_cast<PrimaryAligner>(Primary);
-    Out.Objective = static_cast<ObjectiveKind>(Objective);
     Out.ExtTspForwardWeight = std::bit_cast<double>(FwdBits);
     Out.ExtTspBackwardWeight = std::bit_cast<double>(BwdBits);
     // NaN fails both comparisons, so this one test rejects NaN and
     // every out-of-range (including infinite) weight at once.
-    if (!(Out.ExtTspForwardWeight >= 0.0 &&
-          Out.ExtTspForwardWeight <= 1024.0) ||
-        !(Out.ExtTspBackwardWeight >= 0.0 &&
-          Out.ExtTspBackwardWeight <= 1024.0))
+    auto weightOk = [](double Weight) {
+      return Weight >= 0.0 && Weight <= MachineModel::MaxExtTspWeight;
+    };
+    if (!weightOk(Out.ExtTspForwardWeight) ||
+        !weightOk(Out.ExtTspBackwardWeight))
       return fail(Error, "align request Ext-TSP weight is out of range");
   }
   if (Out.HasEncoding) {
@@ -310,13 +252,12 @@ bool balign::decodeAlignRequest(const std::string &Body, AlignRequest &Out,
     if (!In.u8(Encoding) || !In.u64(Out.ShortBranchRange) ||
         !In.u32(Out.LongBranchExtraInstrs) || !In.u32(Out.LongBranchPenalty))
       return fail(Error, "align request encoding extension is truncated");
-    if (Encoding > static_cast<uint8_t>(BranchEncoding::ShortLong))
+    if (!BranchEncodingNames.fromByte(Encoding, Out.Encoding))
       return fail(Error, "align request names an unknown branch encoding");
-    if (Out.LongBranchExtraInstrs > (1u << 20) ||
-        Out.LongBranchPenalty > (1u << 20))
+    if (Out.LongBranchExtraInstrs > MachineModel::MaxLongBranchCost ||
+        Out.LongBranchPenalty > MachineModel::MaxLongBranchCost)
       return fail(Error, "align request long-branch parameter is out of "
                          "range");
-    Out.Encoding = static_cast<BranchEncoding>(Encoding);
   }
   if (!In.atEnd())
     return fail(Error, "align request has trailing bytes");
@@ -341,8 +282,7 @@ ReadStatus balign::readFrame(int Fd, Frame &Out, FrameError &Code,
     return ReadStatus::Error;
   }
   uint32_t Len = 0;
-  for (int I = 0; I != 4; ++I)
-    Len |= static_cast<uint32_t>(LenBytes[I]) << (8 * I);
+  ByteReader(LenBytes, sizeof(LenBytes)).u32(Len);
   // Reject a hostile length *before* reading any payload: waiting on
   // bytes a lying prefix promised is the unbounded-time failure mode the
   // protocol tests attack.
@@ -383,22 +323,6 @@ ReadStatus balign::readFrame(int Fd, Frame &Out, FrameError &Code,
   Out.Body.assign(Payload, FrameHeaderBytes,
                   Payload.size() - FrameHeaderBytes);
   return ReadStatus::Ok;
-}
-
-bool balign::writeFull(int Fd, const void *Data, size_t Size) {
-  const uint8_t *Bytes = static_cast<const uint8_t *>(Data);
-  size_t Written = 0;
-  while (Written != Size) {
-    ssize_t N = ::write(Fd, Bytes + Written, Size - Written);
-    if (N > 0) {
-      Written += static_cast<size_t>(N);
-      continue;
-    }
-    if (N < 0 && errno == EINTR)
-      continue;
-    return false;
-  }
-  return true;
 }
 
 bool balign::writeFrame(int Fd, const Frame &F) {

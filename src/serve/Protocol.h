@@ -39,6 +39,7 @@
 
 #include "align/Pipeline.h"
 #include "static/EffortPolicy.h"
+#include "support/Bytes.h" // writeFull, the frame write loop.
 
 #include <cstdint>
 #include <string>
@@ -135,11 +136,13 @@ struct Frame {
 /// clear). Same compatibility story: with the bit clear the layout is
 /// byte-identical to the pre-extension one.
 struct AlignRequest {
+  /// The CLI's own defaults (nothing else declares them); every other
+  /// mirrored default below is read from the struct that owns it.
   uint64_t Seed = 1;         ///< --seed: root solver/profile seed.
   uint64_t Budget = 50000;   ///< --budget: synthetic-profile branches.
   uint32_t DeadlineMs = 0;   ///< Per-request deadline (0 = server default).
-  EffortPolicy Effort = EffortPolicy::Uniform;
-  OnErrorPolicy OnError = OnErrorPolicy::Abort;
+  EffortPolicy Effort = AlignmentOptions{}.Effort;
+  OnErrorPolicy OnError = AlignmentOptions{}.OnError;
   bool ComputeBounds = false; ///< --bounds.
   bool HasProfile = false;    ///< ProfileText is meaningful.
   bool HasObjective = false;  ///< The objective extension block is present.
@@ -148,21 +151,22 @@ struct AlignRequest {
   std::string ProfileText;    ///< Optional textual profile.
 
   /// The extension block; meaningful only under HasObjective. Defaults
-  /// mirror AlignmentOptions/MachineModel so an all-defaults block is a
-  /// no-op relative to an absent one.
-  PrimaryAligner Primary = PrimaryAligner::Tsp;
-  ObjectiveKind Objective = ObjectiveKind::ExtTsp;
-  uint32_t ExtTspForwardWindow = 1024;
-  uint32_t ExtTspBackwardWindow = 640;
-  double ExtTspForwardWeight = 0.1;
-  double ExtTspBackwardWeight = 0.1;
+  /// are read from the structs that own them (AlignmentOptions,
+  /// MachineModel), so an all-defaults block is a no-op relative to an
+  /// absent one.
+  PrimaryAligner Primary = AlignmentOptions{}.Primary;
+  ObjectiveKind Objective = AlignmentOptions{}.Objective;
+  uint32_t ExtTspForwardWindow = MachineModel{}.ExtTspForwardWindow;
+  uint32_t ExtTspBackwardWindow = MachineModel{}.ExtTspBackwardWindow;
+  double ExtTspForwardWeight = MachineModel{}.ExtTspForwardWeight;
+  double ExtTspBackwardWeight = MachineModel{}.ExtTspBackwardWeight;
 
   /// The encoding block; meaningful only under HasEncoding, same
   /// all-defaults-is-a-no-op convention.
-  BranchEncoding Encoding = BranchEncoding::Fixed;
-  uint64_t ShortBranchRange = 32768;
-  uint32_t LongBranchExtraInstrs = 1;
-  uint32_t LongBranchPenalty = 1;
+  BranchEncoding Encoding = MachineModel{}.Encoding;
+  uint64_t ShortBranchRange = MachineModel{}.ShortBranchRange;
+  uint32_t LongBranchExtraInstrs = MachineModel{}.LongBranchExtraInstrs;
+  uint32_t LongBranchPenalty = MachineModel{}.LongBranchPenalty;
 };
 
 /// Serializes a frame to wire bytes (length prefix + header + body).
@@ -209,11 +213,6 @@ ReadStatus readFrame(int Fd, Frame &Out, FrameError &Code,
 /// async-signal-tolerant flag check; null (the default) preserves the
 /// retry-forever behavior.
 void setFrameReadInterrupt(bool (*Check)());
-
-/// Writes all of \p Data to \p Fd, retrying short writes and EINTR.
-/// Returns false on any unrecoverable write error (EPIPE after the peer
-/// vanished, most commonly) — never a partial frame left unreported.
-bool writeFull(int Fd, const void *Data, size_t Size);
 
 /// Encodes and writes one frame.
 bool writeFrame(int Fd, const Frame &F);

@@ -6,34 +6,23 @@
 
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <string>
 
 using namespace balign;
 
 namespace {
 
-bool parseOnErrorPolicy(const std::string &Name, OnErrorPolicy &Out) {
-  if (Name == "abort")
-    Out = OnErrorPolicy::Abort;
-  else if (Name == "fallback")
-    Out = OnErrorPolicy::Fallback;
-  else if (Name == "skip")
-    Out = OnErrorPolicy::Skip;
-  else
-    return false;
-  return true;
-}
-
-/// Parses \p Text with \p Parse into \p Out, or prints
+/// Parses \p Text through \p Names into \p Out, or prints
 /// "error: unknown <what> '<text>' (want <choices>)" and fails.
-template <typename T, typename ParseFn>
-FlagParse parseNamed(const char *Text, ParseFn Parse, T &Out,
-                     const char *What, const char *Choices) {
+template <typename Table, typename Enum>
+FlagParse parseNamed(const char *Text, const Table &Names, Enum &Out,
+                     const char *What) {
   if (!Text)
     return FlagParse::Error;
-  if (!Parse(Text, Out)) {
+  if (!Names.parse(Text, Out)) {
     std::fprintf(stderr, "error: unknown %s '%s' (want %s)\n", What, Text,
-                 Choices);
+                 Names.choices().c_str());
     return FlagParse::Error;
   }
   return FlagParse::Ok;
@@ -41,6 +30,36 @@ FlagParse parseNamed(const char *Text, ParseFn Parse, T &Out,
 
 FlagParse okIf(bool Parsed) {
   return Parsed ? FlagParse::Ok : FlagParse::Error;
+}
+
+/// Shortest decimal spelling of \p Value ("0.1", "1024").
+std::string num(double Value) {
+  char Buffer[32];
+  std::snprintf(Buffer, sizeof(Buffer), "%g", Value);
+  return Buffer;
+}
+
+std::string num(uint64_t Value) { return std::to_string(Value); }
+
+/// Appends one --help entry: the flag in a 16-column gutter, then \p Text
+/// word-wrapped to 79 columns beside it.
+void helpEntry(std::string &Out, const std::string &Flag,
+               const std::string &Text) {
+  constexpr size_t Gutter = 16, Width = 79;
+  std::string Line = "  " + Flag;
+  Line.append(Line.size() < Gutter ? Gutter - Line.size() : 2, ' ');
+  std::istringstream Words(Text);
+  std::string Word;
+  while (Words >> Word) {
+    if (Line.back() != ' ' && Line.size() + 1 + Word.size() > Width) {
+      Out += Line + "\n";
+      Line.assign(Gutter, ' ');
+    } else if (Line.back() != ' ') {
+      Line += ' ';
+    }
+    Line += Word;
+  }
+  Out += Line + "\n";
 }
 
 } // namespace
@@ -60,22 +79,19 @@ FlagParse balign::parseRequestFlag(int Argc, char **Argv, int &I,
   }
   if (Arg == "--aligner") {
     Req.HasObjective = true;
-    return parseNamed(value(), parsePrimaryAligner, Req.Primary, "--aligner",
-                      "tsp, exttsp, cg, greedy, or original");
+    return parseNamed(value(), PrimaryAlignerNames, Req.Primary, "--aligner");
   }
   if (Arg == "--objective") {
     Req.HasObjective = true;
     Seen.Objective = true;
-    return parseNamed(value(), parseObjectiveKind, Req.Objective,
-                      "--objective", "fallthrough or exttsp");
+    return parseNamed(value(), ObjectiveKindNames, Req.Objective,
+                      "--objective");
   }
   if (Arg == "--exttsp-window") {
-    // A zero window would make every jump worthless and a huge one
-    // makes the linear decay meaningless; both are almost certainly
-    // typos, so the established exit-code contract rejects them.
     uint64_t Window = 0;
-    if (!flagUIntInRange("--exttsp-window", Argc, Argv, I, Window, 1,
-                         1u << 20))
+    if (!flagUIntInRange("--exttsp-window", Argc, Argv, I, Window,
+                         MachineModel::MinExtTspWindow,
+                         MachineModel::MaxExtTspWindow))
       return FlagParse::Error;
     Req.ExtTspForwardWindow = static_cast<uint32_t>(Window);
     Req.ExtTspBackwardWindow = static_cast<uint32_t>(Window);
@@ -86,12 +102,13 @@ FlagParse balign::parseRequestFlag(int Argc, char **Argv, int &I,
     Req.HasObjective = true;
     return okIf(flagDoublePair("--exttsp-weights", Argc, Argv, I,
                                Req.ExtTspForwardWeight,
-                               Req.ExtTspBackwardWeight, 1024.0));
+                               Req.ExtTspBackwardWeight,
+                               MachineModel::MaxExtTspWeight));
   }
   if (Arg == "--encoding") {
     Req.HasEncoding = true;
-    return parseNamed(value(), parseBranchEncoding, Req.Encoding,
-                      "--encoding", "fixed or short-long");
+    return parseNamed(value(), BranchEncodingNames, Req.Encoding,
+                      "--encoding");
   }
   if (Arg == "--short-range") {
     // 0 is legal and meaningful: it forces every branch long, the
@@ -106,13 +123,12 @@ FlagParse balign::parseRequestFlag(int Argc, char **Argv, int &I,
     const char *Text = Arg == "--on-error"
                            ? value()
                            : Argv[I] + std::strlen("--on-error=");
-    return parseNamed(Text, parseOnErrorPolicy, Req.OnError,
-                      "--on-error policy", "abort, fallback, or skip");
+    return parseNamed(Text, OnErrorPolicyNames, Req.OnError,
+                      "--on-error policy");
   }
   if (Arg == "--effort-policy")
-    return parseNamed(value(), parseEffortPolicy, Req.Effort,
-                      "--effort-policy",
-                      "uniform, scaled, or scaled-cold-greedy");
+    return parseNamed(value(), EffortPolicyNames, Req.Effort,
+                      "--effort-policy");
   return FlagParse::NotMine;
 }
 
@@ -124,4 +140,56 @@ void balign::warnIgnoredRequestFlags(const AlignRequest &Req,
   if (Seen.ShortRange && Req.Encoding != BranchEncoding::ShortLong)
     std::fprintf(stderr, "warning: --short-range only affects --encoding "
                          "short-long; ignored\n");
+}
+
+std::string balign::requestFlagsHelp() {
+  const AlignRequest D;
+  std::string Out = "flags that shape the report (shared by align_tool and "
+                    "balign_client):\n";
+  helpEntry(Out, "--seed N",
+            "root seed of the synthetic profile and the solver "
+            "(default " + num(D.Seed) + ")");
+  helpEntry(Out, "--budget N",
+            "branches the synthetic profile run executes when no profile "
+            "is given (default " + num(D.Budget) + ")");
+  helpEntry(Out, "--bounds",
+            "also compute each procedure's assignment and Held-Karp lower "
+            "bounds");
+  helpEntry(Out, "--aligner A",
+            "the primary layout, reported next to original and greedy: " +
+                PrimaryAlignerNames.choices() + " (default " +
+                PrimaryAlignerNames.name(D.Primary) + ")");
+  helpEntry(Out, "--objective O",
+            "what the Ext-TSP chain merger maximizes: " +
+                ObjectiveKindNames.choices() + " (default " +
+                ObjectiveKindNames.name(D.Objective) + ")");
+  helpEntry(Out, "--exttsp-window N",
+            "both Ext-TSP windows in bytes, in [" +
+                num(uint64_t(MachineModel::MinExtTspWindow)) + ", " +
+                num(uint64_t(MachineModel::MaxExtTspWindow)) +
+                "] (defaults " + num(uint64_t(D.ExtTspForwardWindow)) +
+                " forward, " + num(uint64_t(D.ExtTspBackwardWindow)) +
+                " backward)");
+  helpEntry(Out, "--exttsp-weights F,B",
+            "Ext-TSP forward,backward jump weights, decimals in [0, " +
+                num(MachineModel::MaxExtTspWeight) + "] (default " +
+                num(D.ExtTspForwardWeight) + "," +
+                num(D.ExtTspBackwardWeight) + ")");
+  helpEntry(Out, "--encoding E",
+            "branch encoding: " + BranchEncodingNames.choices() +
+                " (default " + BranchEncodingNames.name(D.Encoding) +
+                "); a variable encoding grows far branches and re-prices "
+                "them by the displacement fixpoint");
+  helpEntry(Out, "--short-range N",
+            "short-form branch reach in bytes under a variable encoding "
+            "(default " + num(D.ShortBranchRange) +
+                "; 0 forces every taken branch long)");
+  helpEntry(Out, "--on-error P",
+            "per-procedure failure policy: " + OnErrorPolicyNames.choices() +
+                " (default " + OnErrorPolicyNames.name(D.OnError) + ")");
+  helpEntry(Out, "--effort-policy P",
+            "how solver effort is spread over procedures: " +
+                EffortPolicyNames.choices() + " (default " +
+                EffortPolicyNames.name(D.Effort) + ")");
+  return Out;
 }

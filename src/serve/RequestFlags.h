@@ -19,6 +19,8 @@
 
 #include "serve/Protocol.h"
 
+#include <string>
+
 namespace balign {
 
 /// Which shared flags appeared; the ignored-flag warnings and
@@ -45,6 +47,11 @@ enum class FlagParse : uint8_t {
 /// a pre-extension one.
 FlagParse parseRequestFlag(int Argc, char **Argv, int &I, AlignRequest &Req,
                            RequestFlagsSeen &Seen);
+
+/// The --help entries of the shared flags, one per flag, printed by both
+/// tools. Choices, defaults and ranges are read from the enum tables,
+/// AlignRequest's defaults and MachineModel's limits, never restated.
+std::string requestFlagsHelp();
 
 /// Warns on stderr about shared flags that were given but cannot affect
 /// \p Req (--objective without --aligner exttsp, --short-range without

@@ -27,6 +27,7 @@
 
 #include "ir/CFG.h"
 #include "profile/Profile.h"
+#include "support/EnumNames.h"
 #include "tsp/IteratedOpt.h"
 
 #include <cstdint>
@@ -76,12 +77,11 @@ EffortDecision decideEffort(const Procedure &Proc,
                             const IteratedOptOptions &Base,
                             EffortPolicy Policy);
 
-/// Returns "uniform", "scaled", or "scaled-cold-greedy".
-const char *effortPolicyName(EffortPolicy Policy);
-
-/// Parses the names effortPolicyName produces. Returns false (leaving
-/// \p Out alone) on anything else.
-bool parseEffortPolicy(const std::string &Name, EffortPolicy &Out);
+/// Stable flag spellings, in value order.
+inline constexpr auto EffortPolicyNames =
+    enumNames<EffortPolicy>("uniform", "scaled", "scaled-cold-greedy");
+static_assert(EffortPolicyNames.count() ==
+              static_cast<size_t>(EffortPolicy::ScaledColdGreedy) + 1);
 
 } // namespace balign
 

@@ -134,12 +134,12 @@ TEST(CacheFingerprintTest, ResultAffectingOptionsAreKeyed) {
 
   // Every primary aligner keys its own entries.
   std::set<std::string> PrimaryKeys;
-  for (uint8_t P = 0; P != NumPrimaryAligners; ++P) {
+  for (uint8_t P = 0; P != PrimaryAlignerNames.count(); ++P) {
     AlignmentOptions Primary = Base;
     Primary.Primary = static_cast<PrimaryAligner>(P);
     PrimaryKeys.insert(fp(Proc, Profile, Primary).str());
   }
-  EXPECT_EQ(PrimaryKeys.size(), size_t(NumPrimaryAligners));
+  EXPECT_EQ(PrimaryKeys.size(), PrimaryAlignerNames.count());
 }
 
 TEST(CacheFingerprintTest, HeldKarpOptionsKeyedOnlyWithBounds) {

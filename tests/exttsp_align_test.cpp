@@ -151,7 +151,7 @@ TEST(ExtTspAlignTest, NeverScoresBelowGreedyOnExtTspObjective) {
 
 TEST(ExtTspAlignTest, PipelineBitIdenticalAcrossThreadCountsUnderVerify) {
   Workload W = makeWorkload(29, 8);
-  for (uint8_t P = 0; P != NumPrimaryAligners; ++P) {
+  for (uint8_t P = 0; P != PrimaryAlignerNames.count(); ++P) {
     auto Primary = static_cast<PrimaryAligner>(P);
     SCOPED_TRACE(primaryAlignerName(Primary));
     ProgramAlignment Baseline;
@@ -205,7 +205,7 @@ TEST(ExtTspAlignTest, ObjectiveChoiceChangesResultsDeterministically) {
 
 TEST(ExtTspAlignTest, WarmCacheReplaysExtTspWithZeroChainWork) {
   Workload W = makeWorkload(53);
-  for (uint8_t P = 0; P != NumPrimaryAligners; ++P) {
+  for (uint8_t P = 0; P != PrimaryAlignerNames.count(); ++P) {
     for (unsigned Threads : {1u, 8u}) {
       AlignmentOptions Options;
       Options.Primary = static_cast<PrimaryAligner>(P);

@@ -299,11 +299,11 @@ TEST(EffortPolicyTest, PolicyNamesRoundTrip) {
   for (EffortPolicy P : {EffortPolicy::Uniform, EffortPolicy::Scaled,
                          EffortPolicy::ScaledColdGreedy}) {
     EffortPolicy Parsed = EffortPolicy::Uniform;
-    ASSERT_TRUE(parseEffortPolicy(effortPolicyName(P), Parsed));
+    ASSERT_TRUE(EffortPolicyNames.parse(EffortPolicyNames.name(P), Parsed));
     EXPECT_EQ(Parsed, P);
   }
   EffortPolicy Parsed = EffortPolicy::Uniform;
-  EXPECT_FALSE(parseEffortPolicy("bogus", Parsed));
+  EXPECT_FALSE(EffortPolicyNames.parse("bogus", Parsed));
 }
 
 } // namespace

@@ -272,15 +272,16 @@ TEST(ObjectiveTest, FactoryNamesAndParsingRoundTrip) {
       makeObjective(ObjectiveKind::ExtTsp, Model);
   EXPECT_EQ(Fall->name(), "fallthrough");
   EXPECT_EQ(Ext->name(), "exttsp");
-  EXPECT_STREQ(objectiveKindName(ObjectiveKind::Fallthrough), "fallthrough");
-  EXPECT_STREQ(objectiveKindName(ObjectiveKind::ExtTsp), "exttsp");
+  EXPECT_STREQ(ObjectiveKindNames.name(ObjectiveKind::Fallthrough),
+               "fallthrough");
+  EXPECT_STREQ(ObjectiveKindNames.name(ObjectiveKind::ExtTsp), "exttsp");
 
   ObjectiveKind Kind = ObjectiveKind::Fallthrough;
-  EXPECT_TRUE(parseObjectiveKind("exttsp", Kind));
+  EXPECT_TRUE(ObjectiveKindNames.parse("exttsp", Kind));
   EXPECT_EQ(Kind, ObjectiveKind::ExtTsp);
-  EXPECT_TRUE(parseObjectiveKind("fallthrough", Kind));
+  EXPECT_TRUE(ObjectiveKindNames.parse("fallthrough", Kind));
   EXPECT_EQ(Kind, ObjectiveKind::Fallthrough);
-  EXPECT_FALSE(parseObjectiveKind("tsp", Kind));
-  EXPECT_FALSE(parseObjectiveKind("", Kind));
+  EXPECT_FALSE(ObjectiveKindNames.parse("tsp", Kind));
+  EXPECT_FALSE(ObjectiveKindNames.parse("", Kind));
   EXPECT_EQ(Kind, ObjectiveKind::Fallthrough); // Untouched on failure.
 }

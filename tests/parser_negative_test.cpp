@@ -199,6 +199,26 @@ TEST(ProfileIONegativeTest, RejectsBadCount) {
                         "bad block count");
 }
 
+TEST(ProfileIONegativeTest, CountsAreCappedAtTwentyCharacters) {
+  // UINT64_MAX (20 digits, the saturated-counter sentinel) and a
+  // zero-padded 20-character count parse; one more leading zero does
+  // not, although its value is tiny.
+  Program Prog = parsedProgram();
+  std::optional<ProgramProfile> Profile = parseProgramProfile(
+      Prog, "profile t\nproc g {\n  x: 18446744073709551615 -> "
+            "y:00000000000000000003\n}\n");
+  ASSERT_TRUE(Profile);
+  EXPECT_EQ(Profile->Procs[1].BlockCounts[0], UINT64_MAX);
+  EXPECT_EQ(Profile->Procs[1].EdgeCounts[0][0], 3u);
+  expectProfileRejected("profile t\nproc g {\n  x: 000000000000000000003\n}\n",
+                        "bad block count");
+  expectProfileRejected(
+      "profile t\nproc g {\n  x: 3 -> y:000000000000000000003\n}\n",
+      "bad edge count");
+  expectProfileRejected("profile t\nproc g {\n  x: 18446744073709551616\n}\n",
+                        "bad block count");
+}
+
 TEST(ProfileIONegativeTest, RejectsTruncatedFile) {
   expectProfileRejected("profile t\n"
                         "proc f {\n"

@@ -1,8 +1,10 @@
 //===- tests/profile_test.cpp - Trace and profile tests -----------------------===//
 
 #include "ir/CFGBuilder.h"
+#include "ir/TextFormat.h"
 #include "profile/Profile.h"
 #include "profile/Trace.h"
+#include "serve/Oneshot.h"
 
 #include <gtest/gtest.h>
 
@@ -93,6 +95,26 @@ TEST(TraceTest, DeterministicGivenSeed) {
   ExecutionTrace TB = generateTrace(P, loopBehavior(P, 0.7), B, Options);
   EXPECT_EQ(TA.Blocks, TB.Blocks);
   EXPECT_EQ(TA.Invocations, TB.Invocations);
+}
+
+TEST(TraceTest, TrappedWalkEndsTheTrace) {
+  // examples/data/defect_selfloop.cfg: once a walk enters spin it never
+  // leaves, and spin's jumps spend none of the branch budget. A capped
+  // walk must end the trace; walking on would add another capped walk
+  // per entry branch until memory ran out.
+  std::optional<Program> Prog =
+      parseProgram("program defect_selfloop\n"
+                   "proc spin {\n"
+                   "  entry: size 3 cond -> spin out\n"
+                   "  spin:  size 2 jump -> spin\n"
+                   "  out:   size 1 ret\n"
+                   "}\n");
+  ASSERT_TRUE(Prog);
+  ProgramProfile Counts = synthesizeProfile(*Prog, 1, 50000);
+  const ProcedureProfile &Spin = Counts.Procs[0];
+  // Exactly one trapped walk: the entry block plus Cap spin blocks.
+  EXPECT_EQ(Spin.BlockCounts[1], TraceGenOptions().MaxBlocksPerInvocation);
+  EXPECT_EQ(Spin.BlockCounts[0], Spin.BlockCounts[2] + 1);
 }
 
 TEST(ProfileTest, FlowConsistencyFromTrace) {

@@ -307,12 +307,12 @@ TEST(ServeProtocolTest, ObjectiveExtensionRejectsBadValues) {
   // Every defined primary decodes; the next value is unknown. Likewise
   // for the objective enum.
   std::string Bad = Full;
-  for (uint8_t Primary = 0; Primary != NumPrimaryAligners; ++Primary) {
+  for (uint8_t Primary = 0; Primary != PrimaryAlignerNames.count(); ++Primary) {
     Bad[Full.size() - 26] = static_cast<char>(Primary);
     ASSERT_TRUE(decodeAlignRequest(Bad, Out, nullptr)) << int(Primary);
     EXPECT_EQ(Out.Primary, static_cast<PrimaryAligner>(Primary));
   }
-  Bad[Full.size() - 26] = static_cast<char>(NumPrimaryAligners);
+  Bad[Full.size() - 26] = static_cast<char>(PrimaryAlignerNames.count());
   EXPECT_FALSE(decodeAlignRequest(Bad, Out, nullptr));
   Bad = Full;
   Bad[Full.size() - 25] = 7;
