@@ -76,9 +76,12 @@ int main() {
   report(Greedy);
   uint64_t TspPenalty = report(Tsp);
 
-  // How good is that? Ask the Held-Karp bound.
-  PenaltyBounds Bounds = computePenaltyBounds(Proc, Profile, Model,
-                                              TspPenalty);
+  // How good is that? Ask the Held-Karp bound on the same instance.
+  AlignmentTsp Atsp = buildAlignmentTsp(Proc, Profile, Model);
+  std::unique_ptr<SymmetricTransform> Transform =
+      transformIfAtLeast(Atsp.Tsp, MinTransformedBoundCities);
+  PenaltyBounds Bounds =
+      computePenaltyBounds(Atsp, Transform.get(), TspPenalty);
   std::printf("held-karp lower bound: %.1f cycles (tsp is within %.2f%%)\n",
               Bounds.HeldKarp,
               Bounds.HeldKarp > 0

@@ -45,12 +45,36 @@
 
 namespace balign {
 
+/// Which algorithm produces the pipeline's primary layout
+/// (ProcedureAlignment::TspLayout — the name is historical; greedy and
+/// original are always computed alongside as baselines). The numeric
+/// values are wire and cache-key contract: append-only.
+enum class PrimaryAligner : uint8_t {
+  Tsp = 0,      ///< The paper's DTSP + iterated 3-Opt (the default).
+  ExtTsp = 1,   ///< ObjectiveFn-driven chain merging (ExtTspAligner).
+  Cg = 2,       ///< CalderGrunwaldAligner.
+  Greedy = 3,   ///< GreedyAligner.
+  Original = 4, ///< OriginalAligner (the identity layout).
+};
+
+/// Stable flag spellings, in value order; each is the name() of the
+/// aligner makeAligner returns.
+inline constexpr auto PrimaryAlignerNames =
+    enumNames<PrimaryAligner>("tsp", "exttsp", "cg", "greedy", "original");
+static_assert(PrimaryAlignerNames.count() ==
+              static_cast<size_t>(PrimaryAligner::Original) + 1);
+
+/// The report's primary-column heading: PrimaryAlignerNames' spelling.
+inline const char *primaryAlignerName(PrimaryAligner Primary) {
+  return PrimaryAlignerNames.name(Primary);
+}
+
 /// Interface shared by every layout algorithm.
 class Aligner {
 public:
   virtual ~Aligner();
 
-  /// Short stable identifier ("original", "greedy", "tsp", "cg", "exttsp").
+  /// Short stable identifier: the aligner's PrimaryAlignerNames spelling.
   virtual std::string name() const = 0;
 
   /// Computes a layout of \p Proc from the training profile.
@@ -61,7 +85,9 @@ public:
 /// Identity layout.
 class OriginalAligner : public Aligner {
 public:
-  std::string name() const override { return "original"; }
+  std::string name() const override {
+    return PrimaryAlignerNames.name(PrimaryAligner::Original);
+  }
   Layout align(const Procedure &Proc, const ProcedureProfile &Train,
                const MachineModel &Model) const override;
 };
@@ -69,7 +95,9 @@ public:
 /// Pettis-Hansen-style frequency-greedy chaining.
 class GreedyAligner : public Aligner {
 public:
-  std::string name() const override { return "greedy"; }
+  std::string name() const override {
+    return PrimaryAlignerNames.name(PrimaryAligner::Greedy);
+  }
   Layout align(const Procedure &Proc, const ProcedureProfile &Train,
                const MachineModel &Model) const override;
 };
@@ -80,7 +108,9 @@ public:
   explicit TspAligner(IteratedOptOptions Options = {})
       : Options(Options) {}
 
-  std::string name() const override { return "tsp"; }
+  std::string name() const override {
+    return PrimaryAlignerNames.name(PrimaryAligner::Tsp);
+  }
   Layout align(const Procedure &Proc, const ProcedureProfile &Train,
                const MachineModel &Model) const override;
 
@@ -109,7 +139,9 @@ public:
   explicit CalderGrunwaldAligner(unsigned MaxExhaustiveChains = 6)
       : MaxExhaustiveChains(MaxExhaustiveChains) {}
 
-  std::string name() const override { return "cg"; }
+  std::string name() const override {
+    return PrimaryAlignerNames.name(PrimaryAligner::Cg);
+  }
   Layout align(const Procedure &Proc, const ProcedureProfile &Train,
                const MachineModel &Model) const override;
 
@@ -134,7 +166,9 @@ public:
                          unsigned MaxSplitBlocks = 16)
       : Objective(Objective), MaxSplitBlocks(MaxSplitBlocks) {}
 
-  std::string name() const override { return "exttsp"; }
+  std::string name() const override {
+    return PrimaryAlignerNames.name(PrimaryAligner::ExtTsp);
+  }
   Layout align(const Procedure &Proc, const ProcedureProfile &Train,
                const MachineModel &Model) const override;
 
@@ -144,30 +178,6 @@ private:
   ObjectiveKind Objective;
   unsigned MaxSplitBlocks;
 };
-
-/// Which algorithm produces the pipeline's primary layout
-/// (ProcedureAlignment::TspLayout — the name is historical; greedy and
-/// original are always computed alongside as baselines). The numeric
-/// values are wire and cache-key contract: append-only.
-enum class PrimaryAligner : uint8_t {
-  Tsp = 0,      ///< The paper's DTSP + iterated 3-Opt (the default).
-  ExtTsp = 1,   ///< ObjectiveFn-driven chain merging (ExtTspAligner).
-  Cg = 2,       ///< CalderGrunwaldAligner.
-  Greedy = 3,   ///< GreedyAligner.
-  Original = 4, ///< OriginalAligner (the identity layout).
-};
-
-/// Stable flag spellings, in value order; each equals the name() of the
-/// aligner makeAligner returns.
-inline constexpr auto PrimaryAlignerNames =
-    enumNames<PrimaryAligner>("tsp", "exttsp", "cg", "greedy", "original");
-static_assert(PrimaryAlignerNames.count() ==
-              static_cast<size_t>(PrimaryAligner::Original) + 1);
-
-/// The report's primary-column heading: PrimaryAlignerNames' spelling.
-inline const char *primaryAlignerName(PrimaryAligner Primary) {
-  return PrimaryAlignerNames.name(Primary);
-}
 
 /// The one aligner factory. \p Objective configures ExtTsp and \p Solver
 /// configures Tsp; the other aligners ignore both.

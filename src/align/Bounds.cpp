@@ -9,12 +9,10 @@
 
 using namespace balign;
 
-PenaltyBounds balign::computePenaltyBounds(const Procedure &Proc,
-                                           const ProcedureProfile &Train,
-                                           const MachineModel &Model,
+PenaltyBounds balign::computePenaltyBounds(const AlignmentTsp &Atsp,
+                                           const SymmetricTransform *Transform,
                                            uint64_t UpperBound,
                                            const HeldKarpOptions &Options) {
-  AlignmentTsp Atsp = buildAlignmentTsp(Proc, Train, Model);
   PenaltyBounds Bounds;
 
   // The entry-pinned instance gives every feasible layout (= tour) a cost
@@ -23,8 +21,8 @@ PenaltyBounds balign::computePenaltyBounds(const Procedure &Proc,
   double Hk;
   {
     ScopedSpan HkSpan("bounds.held-karp", SpanCat::Solver);
-    Hk = heldKarpBoundDirected(Atsp.Tsp, static_cast<int64_t>(UpperBound),
-                               Options);
+    Hk = heldKarpBoundDirected(Atsp.Tsp, Transform,
+                               static_cast<int64_t>(UpperBound), Options);
   }
   Bounds.HeldKarp = std::clamp(Hk, 0.0, static_cast<double>(UpperBound));
 

@@ -17,9 +17,6 @@
 #define BALIGN_ALIGN_BOUNDS_H
 
 #include "align/Reduction.h"
-#include "ir/CFG.h"
-#include "machine/MachineModel.h"
-#include "profile/Profile.h"
 #include "tsp/HeldKarp.h"
 
 namespace balign {
@@ -39,12 +36,14 @@ struct PenaltyBounds {
   size_t AssignmentCycles = 0;
 };
 
-/// Computes both bounds for \p Proc. \p UpperBound must be the penalty of
-/// some feasible layout (e.g. the TSP aligner's result); it scales the
-/// Held-Karp subgradient steps and caps the returned bound.
-PenaltyBounds computePenaltyBounds(const Procedure &Proc,
-                                   const ProcedureProfile &Train,
-                                   const MachineModel &Model,
+/// Computes both bounds on the procedure instance \p Atsp (built by
+/// buildAlignmentTsp) and its symmetric transform \p Transform, which
+/// must be transformToSymmetric(Atsp.Tsp) when the instance has at least
+/// MinTransformedBoundCities cities (null below). \p UpperBound must be
+/// the penalty of some feasible layout (e.g. the TSP aligner's result);
+/// it scales the Held-Karp subgradient steps and caps the returned bound.
+PenaltyBounds computePenaltyBounds(const AlignmentTsp &Atsp,
+                                   const SymmetricTransform *Transform,
                                    uint64_t UpperBound,
                                    const HeldKarpOptions &Options = {});
 

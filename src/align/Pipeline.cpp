@@ -11,6 +11,7 @@
 #include "support/Timer.h"
 #include "trace/Scope.h"
 
+#include <memory>
 #include <optional>
 
 using namespace balign;
@@ -171,43 +172,27 @@ void alignFullPath(const Procedure &Proc, const ProcedureProfile &Profile,
     return;
   }
 
+  // One DTSP instance per procedure: the solve and both bounds read the
+  // matrix and the symmetric transform built here (the encoding refit
+  // surcharges a copy of the matrix).
   // Every non-DTSP primary (chain merging, cg, greedy, original) needs
-  // no DTSP instance, so the matrix/solve stages (and their hooks) are
-  // skipped entirely; the aligner's time is charged to the solver stage,
-  // preserving Table 2's "work per stage" meaning. Bounds are still
-  // meaningful — Held-Karp lower-bounds *every* layout's penalty,
-  // including this one.
-  if (Options.Primary != PrimaryAligner::Tsp) {
-    CpuStopwatch ChainTimer;
-    {
-      ScopedSpan ChainSpan("stage.chain", SpanCat::Stage);
-      PA.TspLayout = makeAligner(Options.Primary, Options.Objective)
-                         ->align(Proc, Profile, Options.Model);
-    }
-    Task.SolverSeconds = ChainTimer.seconds();
-    PA.TspPenalty = evaluateLayout(Proc, PA.TspLayout, Options.Model, Profile,
-                                   Profile);
-    if (Options.ComputeBounds) {
-      CpuStopwatch BoundsTimer;
-      ScopedSpan BoundsSpan("stage.bounds", SpanCat::Stage);
-      PA.Bounds = computePenaltyBounds(Proc, Profile, Options.Model,
-                                       PA.TspPenalty, Options.HeldKarp);
-      Task.BoundsSeconds = BoundsTimer.seconds();
-    }
-    if (Cache)
-      Cache->store(Proc, Profile, Options, I, PA);
-    return;
-  }
-
-  CpuStopwatch MatrixTimer;
+  // the instance only for the bounds — Held-Karp lower-bounds *every*
+  // layout's penalty, including theirs — so without bounds the matrix
+  // stage (and its hooks) is skipped. The transform exists only where a
+  // consumer reads it, so no procedure probes tsp.transform in vain.
+  bool SolveDtsp = Options.Primary == PrimaryAligner::Tsp;
   AlignmentTsp Atsp;
-  {
+  std::unique_ptr<SymmetricTransform> Transform;
+  if (SolveDtsp || Options.ComputeBounds) {
+    CpuStopwatch MatrixTimer;
     ScopedSpan MatrixSpan("stage.matrix", SpanCat::Stage);
     Atsp = buildAlignmentTsp(Proc, Profile, Options.Model);
+    Transform = transformIfAtLeast(Atsp.Tsp, Options.ComputeBounds
+                                                 ? MinTransformedBoundCities
+                                                 : MinTransformedSolveCities);
+    Task.MatrixSeconds = MatrixTimer.seconds();
   }
-  Task.MatrixSeconds = MatrixTimer.seconds();
 
-  CpuStopwatch SolverTimer;
   // Give each procedure a solver stream derived from the root seed so
   // results do not depend on procedure processing order — this is what
   // makes parallel and serial runs bit-identical.
@@ -215,23 +200,31 @@ void alignFullPath(const Procedure &Proc, const ProcedureProfile &Profile,
   SolverOptions.Seed = derivedSolverSeed(Options.Solver.Seed, I);
   SolverOptions.Budget = Budget;
   DtspSolution Solution;
-  {
+  // The other primaries' time is charged to the solver stage too,
+  // preserving Table 2's "work per stage" meaning.
+  CpuStopwatch SolverTimer;
+  if (SolveDtsp) {
     ScopedSpan SolveSpan("stage.solve", SpanCat::Stage);
-    Solution = solveDirectedTsp(Atsp.Tsp, SolverOptions);
+    Solution = solveDirectedTsp(Atsp.Tsp, Transform.get(), SolverOptions);
+  } else {
+    ScopedSpan ChainSpan("stage.chain", SpanCat::Stage);
+    PA.TspLayout = makeAligner(Options.Primary, Options.Objective)
+                       ->align(Proc, Profile, Options.Model);
   }
   Task.SolverSeconds = SolverTimer.seconds();
-
-  PA.TspLayout = layoutFromTour(Proc, Atsp, Solution.Tour);
+  if (SolveDtsp) {
+    PA.TspLayout = layoutFromTour(Proc, Atsp, Solution.Tour);
+    PA.SolverRuns = Solution.NumRuns;
+    PA.RunsFindingBest = Solution.RunsFindingBest;
+  }
   PA.TspPenalty = evaluateLayout(Proc, PA.TspLayout, Options.Model, Profile,
                                  Profile);
-  PA.SolverRuns = Solution.NumRuns;
-  PA.RunsFindingBest = Solution.RunsFindingBest;
 
   // balign-displace: the matrix above priced every branch short-form;
   // one refinement round re-solves with the observed long branches
   // surcharged and keeps the better layout. Charged to the solver stage
   // (it is a second, smaller solve) so Table 2 totals stay meaningful.
-  if (Options.Model.Encoding == BranchEncoding::ShortLong) {
+  if (SolveDtsp && Options.Model.Encoding == BranchEncoding::ShortLong) {
     CpuStopwatch DisplaceTimer;
     ScopedSpan DisplaceSpan("stage.displace", SpanCat::Stage);
     if (refineLayoutForEncoding(Proc, Profile, Options.Model, Atsp,
@@ -244,8 +237,8 @@ void alignFullPath(const Procedure &Proc, const ProcedureProfile &Profile,
   if (Options.ComputeBounds) {
     CpuStopwatch BoundsTimer;
     ScopedSpan BoundsSpan("stage.bounds", SpanCat::Stage);
-    PA.Bounds = computePenaltyBounds(Proc, Profile, Options.Model,
-                                     PA.TspPenalty, Options.HeldKarp);
+    PA.Bounds = computePenaltyBounds(Atsp, Transform.get(), PA.TspPenalty,
+                                     Options.HeldKarp);
     Task.BoundsSeconds = BoundsTimer.seconds();
   }
 
@@ -255,8 +248,8 @@ void alignFullPath(const Procedure &Proc, const ProcedureProfile &Profile,
   if (Cache)
     Cache->store(Proc, Profile, Options, I, PA);
 
-  Task.RanSolver = true;
-  if (KeepArtifacts) {
+  Task.RanSolver = SolveDtsp;
+  if (SolveDtsp && KeepArtifacts) {
     Task.Atsp = std::move(Atsp);
     Task.Solution = std::move(Solution);
     Task.SolverOptions = SolverOptions;

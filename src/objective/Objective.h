@@ -51,7 +51,7 @@ class ObjectiveFn {
 public:
   virtual ~ObjectiveFn();
 
-  /// Short stable identifier ("fallthrough", "exttsp").
+  /// Short stable identifier: the objective's ObjectiveKindNames spelling.
   virtual std::string name() const = 0;
 
   /// Scores \p Seq — distinct blocks of \p Proc laid out consecutively,
@@ -81,7 +81,9 @@ class FallthroughObjective : public ObjectiveFn {
 public:
   explicit FallthroughObjective(MachineModel Model) : Model(std::move(Model)) {}
 
-  std::string name() const override { return "fallthrough"; }
+  std::string name() const override {
+    return ObjectiveKindNames.name(ObjectiveKind::Fallthrough);
+  }
   double scoreSequence(const Procedure &Proc, const ProcedureProfile &Profile,
                        const std::vector<BlockId> &Seq) const override;
 
@@ -106,7 +108,9 @@ class ExtTspObjective : public ObjectiveFn {
 public:
   explicit ExtTspObjective(MachineModel Model) : Model(std::move(Model)) {}
 
-  std::string name() const override { return "exttsp"; }
+  std::string name() const override {
+    return ObjectiveKindNames.name(ObjectiveKind::ExtTsp);
+  }
   double scoreSequence(const Procedure &Proc, const ProcedureProfile &Profile,
                        const std::vector<BlockId> &Seq) const override;
 

@@ -11,31 +11,11 @@
 
 using namespace balign;
 
-const char *balign::crashSiteName(CrashSite Site) {
-  switch (Site) {
-  case CrashSite::CacheTmpWrite:
-    return "cache.tmp-write";
-  case CrashSite::CachePreRename:
-    return "cache.pre-rename";
-  case CrashSite::CachePostRename:
-    return "cache.post-rename";
-  case CrashSite::CheckpointAppend:
-    return "checkpoint.append";
-  case CrashSite::ServeResponse:
-    return "serve.response";
-  case CrashSite::PoolTask:
-    return "pool.task";
-  }
-  return "?";
-}
-
 std::optional<CrashSite> balign::crashSiteByName(const std::string &Name) {
-  for (size_t I = 0; I != NumCrashSites; ++I) {
-    CrashSite Site = static_cast<CrashSite>(I);
-    if (Name == crashSiteName(Site))
-      return Site;
-  }
-  return std::nullopt;
+  CrashSite Site;
+  if (!CrashSiteNames.parse(Name, Site))
+    return std::nullopt;
+  return Site;
 }
 
 CrashInjector &CrashInjector::instance() {
@@ -119,7 +99,7 @@ bool CrashInjector::armFromSpec(const std::string &Spec, std::string *Error) {
     for (size_t I = 0; I != NumCrashSites; ++I) {
       if (I)
         Known += ", ";
-      Known += crashSiteName(static_cast<CrashSite>(I));
+      Known += CrashSiteNames.Names[I];
     }
     if (Error)
       *Error = "unknown crash site '" + SiteName + "' (known sites: " +

@@ -40,6 +40,8 @@
 #ifndef BALIGN_ROBUST_CRASHINJECTOR_H
 #define BALIGN_ROBUST_CRASHINJECTOR_H
 
+#include "support/EnumNames.h"
+
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -49,7 +51,7 @@
 namespace balign {
 
 /// Every durability-critical point balign-sentinel can kill the process
-/// at. The printable names (crashSiteName) are the BALIGN_CRASH spelling
+/// at. The printable names (CrashSiteNames) are the BALIGN_CRASH spelling
 /// and part of the public contract; never rename a released one.
 enum class CrashSite : uint8_t {
   CacheTmpWrite,    ///< cache.tmp-write — mid-write of the store tmp file
@@ -66,7 +68,14 @@ enum class CrashSite : uint8_t {
                     ///< execution (no cache flush ran for this result).
 };
 
-inline constexpr size_t NumCrashSites = 6;
+/// The BALIGN_CRASH spellings, in value order.
+inline constexpr auto CrashSiteNames = enumNames<CrashSite>(
+    "cache.tmp-write", "cache.pre-rename", "cache.post-rename",
+    "checkpoint.append", "serve.response", "pool.task");
+static_assert(CrashSiteNames.count() ==
+              static_cast<size_t>(CrashSite::PoolTask) + 1);
+
+inline constexpr size_t NumCrashSites = CrashSiteNames.count();
 
 /// The exit status a fired crash point dies with. Distinct from 0 so the
 /// chaos harness can tell "crashed where armed" from "site never
@@ -74,7 +83,9 @@ inline constexpr size_t NumCrashSites = 6;
 inline constexpr int CrashExitCode = 2;
 
 /// Returns the stable printable name, e.g. "cache.tmp-write".
-const char *crashSiteName(CrashSite Site);
+inline const char *crashSiteName(CrashSite Site) {
+  return CrashSiteNames.name(Site);
+}
 
 /// Parses a printable site name; nullopt for unknown names.
 std::optional<CrashSite> crashSiteByName(const std::string &Name);

@@ -26,43 +26,11 @@ thread_local unsigned SuppressDepth = 0;
 
 } // namespace
 
-const char *balign::faultSiteName(FaultSite Site) {
-  switch (Site) {
-  case FaultSite::ProfileParse:
-    return "profile.parse";
-  case FaultSite::TspTransform:
-    return "tsp.transform";
-  case FaultSite::TspSolve:
-    return "tsp.solve";
-  case FaultSite::AlignGreedy:
-    return "align.greedy";
-  case FaultSite::PoolTask:
-    return "pool.task";
-  case FaultSite::CacheLoad:
-    return "cache.load";
-  case FaultSite::CacheFlush:
-    return "cache.flush";
-  case FaultSite::ServeFrame:
-    return "serve.frame";
-  case FaultSite::AlignChain:
-    return "align.chain";
-  case FaultSite::JournalAppend:
-    return "journal.append";
-  case FaultSite::ClientConnect:
-    return "client.connect";
-  case FaultSite::DisplaceFixpoint:
-    return "displace.fixpoint";
-  }
-  return "?";
-}
-
 std::optional<FaultSite> balign::faultSiteByName(const std::string &Name) {
-  for (size_t I = 0; I != NumFaultSites; ++I) {
-    FaultSite Site = static_cast<FaultSite>(I);
-    if (Name == faultSiteName(Site))
-      return Site;
-  }
-  return std::nullopt;
+  FaultSite Site;
+  if (!FaultSiteNames.parse(Name, Site))
+    return std::nullopt;
+  return Site;
 }
 
 bool FaultSpec::fires(uint64_t Hit) const {
@@ -225,7 +193,7 @@ bool FaultInjector::armFromSpec(const std::string &Spec, std::string *Error) {
       for (size_t I = 0; I != NumFaultSites; ++I) {
         if (I)
           Known += ", ";
-        Known += faultSiteName(static_cast<FaultSite>(I));
+        Known += FaultSiteNames.Names[I];
       }
       if (Error)
         *Error = "unknown fault site '" + SiteName + "' (known sites: " +

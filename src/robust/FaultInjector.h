@@ -44,6 +44,8 @@
 #ifndef BALIGN_ROBUST_FAULTINJECTOR_H
 #define BALIGN_ROBUST_FAULTINJECTOR_H
 
+#include "support/EnumNames.h"
+
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -55,7 +57,7 @@
 namespace balign {
 
 /// Every named fault site balign-shield instruments. The printable names
-/// (faultSiteName) are the BALIGN_FAULT spelling and part of the public
+/// (FaultSiteNames) are the BALIGN_FAULT spelling and part of the public
 /// contract; never rename a released one.
 enum class FaultSite : uint8_t {
   ProfileParse, ///< profile.parse — ProfileIO record parsing.
@@ -72,10 +74,20 @@ enum class FaultSite : uint8_t {
   DisplaceFixpoint, ///< displace.fixpoint — the branch-displacement solve.
 };
 
-inline constexpr size_t NumFaultSites = 12;
+/// The BALIGN_FAULT spellings, in value order.
+inline constexpr auto FaultSiteNames = enumNames<FaultSite>(
+    "profile.parse", "tsp.transform", "tsp.solve", "align.greedy",
+    "pool.task", "cache.load", "cache.flush", "serve.frame", "align.chain",
+    "journal.append", "client.connect", "displace.fixpoint");
+static_assert(FaultSiteNames.count() ==
+              static_cast<size_t>(FaultSite::DisplaceFixpoint) + 1);
+
+inline constexpr size_t NumFaultSites = FaultSiteNames.count();
 
 /// Returns the stable printable name, e.g. "tsp.solve".
-const char *faultSiteName(FaultSite Site);
+inline const char *faultSiteName(FaultSite Site) {
+  return FaultSiteNames.name(Site);
+}
 
 /// Parses a printable site name; nullopt for unknown names.
 std::optional<FaultSite> faultSiteByName(const std::string &Name);

@@ -2,6 +2,8 @@
 
 #include "tsp/Assignment.h"
 
+#include "trace/Scope.h"
+
 #include <cassert>
 #include <limits>
 #include <vector>
@@ -32,12 +34,17 @@ AssignmentResult balign::assignmentBound(const DirectedTsp &Dtsp) {
   std::vector<size_t> MatchedRow(N + 1, 0); // Column -> row.
   std::vector<size_t> Way(N + 1, 0);
 
+  // Label-setting steps (columns settled) over all rows: every row
+  // augments exactly once, so this, not the augmentation count, is the
+  // deterministic measure of the bound's work (DESIGN.md section 12).
+  uint64_t Steps = 0;
   for (size_t Row = 1; Row <= N; ++Row) {
     MatchedRow[0] = Row;
     size_t FreeCol = 0;
     std::vector<int64_t> MinSlack(N + 1, Inf);
     std::vector<bool> Used(N + 1, false);
     do {
+      ++Steps;
       Used[FreeCol] = true;
       size_t RowHere = MatchedRow[FreeCol];
       int64_t Delta = Inf;
@@ -73,6 +80,8 @@ AssignmentResult balign::assignmentBound(const DirectedTsp &Dtsp) {
       FreeCol = PrevCol;
     } while (FreeCol != 0);
   }
+
+  scopeCounterAdd("bounds.ap.steps", Steps);
 
   AssignmentResult Result;
   Result.Successor.assign(N, InvalidCity);

@@ -2,7 +2,7 @@
 
 #include "tsp/HeldKarp.h"
 
-#include "tsp/Transform.h"
+#include "trace/Scope.h"
 
 #include <algorithm>
 #include <cassert>
@@ -115,7 +115,12 @@ double balign::heldKarpBoundSymmetric(const SymmetricTsp &Sym,
   // hundreds of iterations; halve the step only on long stagnation.
   const unsigned StagnationWindow = std::max(50u, Iterations / 25);
 
+  // Subgradient iterations run, published once per bound like the
+  // solver's per-run counters (a deterministic work measure: DESIGN.md
+  // section 12).
+  uint64_t Ran = 0;
   for (unsigned Iter = 0; Iter != Iterations; ++Iter) {
+    ++Ran;
     OneTree Tree = minimumOneTree(Sym, Pi);
     double PiSum = 0.0;
     for (double P : Pi)
@@ -148,29 +153,40 @@ double balign::heldKarpBoundSymmetric(const SymmetricTsp &Sym,
     for (City C = 0; C != N; ++C)
       Pi[C] += Step * (static_cast<double>(Tree.Degree[C]) - 2.0);
   }
+  scopeCounterAdd("bounds.hk.iterations", Ran);
   // The bound is valid at every iteration; return the best seen (never
   // above the incumbent tour, which is feasible).
   return std::min(BestBound, static_cast<double>(UpperBound));
 }
 
 double balign::heldKarpBoundDirected(const DirectedTsp &Dtsp,
+                                     const SymmetricTransform *Transform,
                                      int64_t UpperBound,
                                      const HeldKarpOptions &Options) {
   size_t N = Dtsp.numCities();
-  if (N <= 2) {
+  if (N < MinTransformedBoundCities) {
     // 1-city tours cost 0; 2-city tours are forced.
     if (N == 2)
       return static_cast<double>(Dtsp.cost(0, 1) + Dtsp.cost(1, 0));
     return 0.0;
   }
-  SymmetricTransform Transform = transformToSymmetric(Dtsp);
-  int64_t Offset = static_cast<int64_t>(N) * Transform.LockBonus;
+  assert(Transform && Transform->DirectedN == N &&
+         "bound needs the transform of this instance");
+  int64_t Offset = static_cast<int64_t>(N) * Transform->LockBonus;
   HeldKarpOptions SymOptions = Options;
   if (SymOptions.AbsoluteGapStop == 0.0)
     SymOptions.AbsoluteGapStop =
         Options.RelativeGapStop *
         std::max(1.0, std::fabs(static_cast<double>(UpperBound)));
-  double SymBound = heldKarpBoundSymmetric(Transform.Sym,
+  double SymBound = heldKarpBoundSymmetric(Transform->Sym,
                                            UpperBound - Offset, SymOptions);
   return SymBound + static_cast<double>(Offset);
+}
+
+double balign::heldKarpBoundDirected(const DirectedTsp &Dtsp,
+                                     int64_t UpperBound,
+                                     const HeldKarpOptions &Options) {
+  return heldKarpBoundDirected(
+      Dtsp, transformIfAtLeast(Dtsp, MinTransformedBoundCities).get(),
+      UpperBound, Options);
 }

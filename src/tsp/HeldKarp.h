@@ -18,6 +18,7 @@
 #define BALIGN_TSP_HELDKARP_H
 
 #include "tsp/Instance.h"
+#include "tsp/Transform.h"
 
 namespace balign {
 
@@ -52,9 +53,22 @@ struct HeldKarpOptions {
 double heldKarpBoundSymmetric(const SymmetricTsp &Sym, int64_t UpperBound,
                               const HeldKarpOptions &Options = {});
 
-/// Held-Karp bound for a directed instance: transforms to the pair-locked
-/// symmetric instance, bounds it, and maps the result back to directed
-/// scale. \p UpperBound is the cost of some feasible *directed* tour.
+/// Instances with fewer cities have one forced tour, priced directly;
+/// the bound never transforms them.
+inline constexpr size_t MinTransformedBoundCities = 3;
+
+/// Held-Karp bound for a directed instance: bounds its pair-locked
+/// symmetric instance \p Transform and maps the result back to directed
+/// scale. \p Transform must be transformToSymmetric(Dtsp) when Dtsp has
+/// at least MinTransformedBoundCities cities; smaller instances ignore
+/// it, and it may be null there. \p UpperBound is the cost of some
+/// feasible *directed* tour.
+double heldKarpBoundDirected(const DirectedTsp &Dtsp,
+                             const SymmetricTransform *Transform,
+                             int64_t UpperBound,
+                             const HeldKarpOptions &Options = {});
+
+/// The same bound, building the transform when the bound needs one.
 double heldKarpBoundDirected(const DirectedTsp &Dtsp, int64_t UpperBound,
                              const HeldKarpOptions &Options = {});
 

@@ -5,7 +5,6 @@
 #include "robust/FaultInjector.h"
 #include "tsp/Construct.h"
 #include "tsp/LocalSearch.h"
-#include "tsp/Transform.h"
 #include "trace/Scope.h"
 
 #include <algorithm>
@@ -43,7 +42,7 @@ namespace {
 struct Solver {
   const DirectedTsp &Dtsp;
   const IteratedOptOptions &Options;
-  SymmetricTransform Transform;
+  const SymmetricTransform &Transform;
   NeighborLists Neighbors;
 
   /// Buffers every kick reuses, so a warm kick loop allocates nothing:
@@ -55,9 +54,9 @@ struct Solver {
   std::vector<City> Seeds;
   LocalSearchWorkspace Work;
 
-  Solver(const DirectedTsp &Dtsp, const IteratedOptOptions &Options)
-      : Dtsp(Dtsp), Options(Options),
-        Transform(transformToSymmetric(Dtsp)),
+  Solver(const DirectedTsp &Dtsp, const SymmetricTransform &Transform,
+         const IteratedOptOptions &Options)
+      : Dtsp(Dtsp), Options(Options), Transform(Transform),
         Neighbors(Transform.Sym, Options.NeighborListSize) {}
 
   /// Local-search the directed tour via the symmetric space; returns the
@@ -139,6 +138,7 @@ struct Solver {
 } // namespace
 
 DtspSolution balign::solveDirectedTsp(const DirectedTsp &Dtsp,
+                                      const SymmetricTransform *Transform,
                                       const IteratedOptOptions &Options) {
   // balign-shield fault site: any solver failure (and, via Budget below,
   // any deadline expiry) surfaces here for the pipeline to isolate.
@@ -150,7 +150,7 @@ DtspSolution balign::solveDirectedTsp(const DirectedTsp &Dtsp,
   // cyclic orders are enumerated directly.
   if (N == 0)
     return Solution;
-  if (N <= 3) {
+  if (N < MinTransformedSolveCities) {
     // All cyclic orders of <= 3 cities are equivalent up to rotation for
     // a directed cycle only when N <= 2; for N == 3 compare both orders.
     std::vector<City> Tour = canonicalTour(N);
@@ -170,8 +170,10 @@ DtspSolution balign::solveDirectedTsp(const DirectedTsp &Dtsp,
     return Solution;
   }
 
+  assert(Transform && Transform->DirectedN == N &&
+         "solver needs the transform of this instance");
   Rng Root(Options.Seed);
-  Solver S(Dtsp, Options);
+  Solver S(Dtsp, *Transform, Options);
 
   std::vector<int64_t> RunCosts;
   int64_t BestCost = 0;
@@ -210,4 +212,11 @@ DtspSolution balign::solveDirectedTsp(const DirectedTsp &Dtsp,
     if (Cost == BestCost)
       ++Solution.RunsFindingBest;
   return Solution;
+}
+
+DtspSolution balign::solveDirectedTsp(const DirectedTsp &Dtsp,
+                                      const IteratedOptOptions &Options) {
+  return solveDirectedTsp(
+      Dtsp, transformIfAtLeast(Dtsp, MinTransformedSolveCities).get(),
+      Options);
 }

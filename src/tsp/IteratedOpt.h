@@ -25,6 +25,7 @@
 #include "robust/Deadline.h"
 #include "support/Random.h"
 #include "tsp/Instance.h"
+#include "tsp/Transform.h"
 
 namespace balign {
 
@@ -72,7 +73,19 @@ struct DtspSolution {
 void doubleBridge(std::vector<City> &Tour, Rng &Rng,
                   std::vector<City> *Touched = nullptr);
 
-/// Solves \p Dtsp with the iterated 3-Opt protocol above.
+/// Instances with fewer cities are solved by comparing their (at most
+/// two) cyclic orders directly; the solver never transforms them.
+inline constexpr size_t MinTransformedSolveCities = 4;
+
+/// Solves \p Dtsp with the iterated 3-Opt protocol above, searching the
+/// pair-locked instance \p Transform. It must be transformToSymmetric(Dtsp)
+/// when Dtsp has at least MinTransformedSolveCities cities; smaller
+/// instances ignore it, and it may be null there.
+DtspSolution solveDirectedTsp(const DirectedTsp &Dtsp,
+                              const SymmetricTransform *Transform,
+                              const IteratedOptOptions &Options);
+
+/// Solves \p Dtsp, building its transform when the solver needs one.
 DtspSolution solveDirectedTsp(const DirectedTsp &Dtsp,
                               const IteratedOptOptions &Options);
 

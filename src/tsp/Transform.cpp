@@ -36,6 +36,13 @@ SymmetricTransform balign::transformToSymmetric(const DirectedTsp &Dtsp) {
   return Result;
 }
 
+std::unique_ptr<SymmetricTransform>
+balign::transformIfAtLeast(const DirectedTsp &Dtsp, size_t MinCities) {
+  if (Dtsp.numCities() < MinCities)
+    return nullptr;
+  return std::make_unique<SymmetricTransform>(transformToSymmetric(Dtsp));
+}
+
 void SymmetricTransform::toSymmetricTour(const std::vector<City> &Directed,
                                          std::vector<City> &Symmetric) const {
   assert(isValidTour(Directed, DirectedN) && "invalid directed tour");

@@ -27,6 +27,8 @@
 
 #include "tsp/Instance.h"
 
+#include <memory>
+
 namespace balign {
 
 /// A directed instance together with its symmetric transformation.
@@ -76,6 +78,14 @@ struct SymmetricTransform {
 
 /// Builds the symmetric transformation of \p Dtsp.
 SymmetricTransform transformToSymmetric(const DirectedTsp &Dtsp);
+
+/// The symmetric transformation of \p Dtsp when it has at least
+/// \p MinCities cities, else null: the solver enumerates, and Held-Karp
+/// prices, smaller instances directly (MinTransformedSolveCities,
+/// MinTransformedBoundCities), so building one there would only add a
+/// tsp.transform fault-site hit.
+std::unique_ptr<SymmetricTransform> transformIfAtLeast(const DirectedTsp &Dtsp,
+                                                       size_t MinCities);
 
 } // namespace balign
 

@@ -37,6 +37,16 @@ struct RandomCase {
   }
 };
 
+/// Both bounds on \p Proc's instance under \p Train, as the pipeline
+/// computes them.
+PenaltyBounds boundsOf(const Procedure &Proc, const ProcedureProfile &Train,
+                       uint64_t UpperBound) {
+  AlignmentTsp Atsp = buildAlignmentTsp(Proc, Train, Alpha);
+  std::unique_ptr<SymmetricTransform> Transform =
+      transformIfAtLeast(Atsp.Tsp, MinTransformedBoundCities);
+  return computePenaltyBounds(Atsp, Transform.get(), UpperBound);
+}
+
 } // namespace
 
 /// Property sweep: both bounds sit at or below the exact optimal penalty.
@@ -52,8 +62,8 @@ TEST_P(BoundsValidity, BoundsBelowExactOptimum) {
   int64_t Optimal = solveExactDirected(Atsp.Tsp);
   ASSERT_GE(Optimal, 0);
 
-  PenaltyBounds Bounds = computePenaltyBounds(
-      C.Proc, C.Profile, Alpha, static_cast<uint64_t>(Optimal));
+  PenaltyBounds Bounds = boundsOf(C.Proc, C.Profile,
+                                  static_cast<uint64_t>(Optimal));
   EXPECT_LE(Bounds.HeldKarp, static_cast<double>(Optimal) + 1e-6);
   EXPECT_LE(Bounds.Assignment, Optimal);
   EXPECT_GE(Bounds.HeldKarp, 0.0);
@@ -72,8 +82,8 @@ TEST(BoundsTest, HeldKarpTightOnAlignmentInstances) {
     RandomCase C(Seed, /*Sites=*/8);
     TspAligner Aligner;
     TspAligner::Result R = Aligner.alignWithStats(C.Proc, C.Profile, Alpha);
-    PenaltyBounds Bounds = computePenaltyBounds(
-        C.Proc, C.Profile, Alpha, static_cast<uint64_t>(R.TourCost));
+    PenaltyBounds Bounds =
+        boundsOf(C.Proc, C.Profile, static_cast<uint64_t>(R.TourCost));
     TourTotal += static_cast<double>(R.TourCost);
     BoundTotal += Bounds.HeldKarp;
     EXPECT_LE(Bounds.HeldKarp, static_cast<double>(R.TourCost) + 1e-6);
@@ -86,7 +96,7 @@ TEST(BoundsTest, HeldKarpTightOnAlignmentInstances) {
 TEST(BoundsTest, ZeroProfileGivesZeroBounds) {
   RandomCase C(99, 3);
   ProcedureProfile Zero = ProcedureProfile::zeroed(C.Proc);
-  PenaltyBounds Bounds = computePenaltyBounds(C.Proc, Zero, Alpha, 0);
+  PenaltyBounds Bounds = boundsOf(C.Proc, Zero, 0);
   EXPECT_DOUBLE_EQ(Bounds.HeldKarp, 0.0);
   EXPECT_EQ(Bounds.Assignment, 0);
 }

@@ -12,6 +12,8 @@
 #include "cache/Fingerprint.h"
 #include "cache/Store.h"
 #include "ir/TextFormat.h"
+#include "robust/CrashInjector.h"
+#include "robust/FaultInjector.h"
 #include "robust/Journal.h"
 #include "serve/Oneshot.h"
 #include "serve/Protocol.h"
@@ -78,6 +80,40 @@ TEST(EnumTableTest, EveryNameParsesBackAndCountIsTheBound) {
   expectTableRoundTrips(BranchEncodingNames);
   expectTableRoundTrips(EffortPolicyNames);
   expectTableRoundTrips(OnErrorPolicyNames);
+  expectTableRoundTrips(FaultSiteNames);
+  expectTableRoundTrips(CrashSiteNames);
+}
+
+TEST(EnumTableTest, AlignerAndObjectiveNamesAreTheTableSpellings) {
+  for (size_t I = 0; I != PrimaryAlignerNames.count(); ++I) {
+    auto Primary = static_cast<PrimaryAligner>(I);
+    EXPECT_EQ(makeAligner(Primary)->name(), PrimaryAlignerNames.name(Primary));
+  }
+  MachineModel Model;
+  for (size_t I = 0; I != ObjectiveKindNames.count(); ++I) {
+    auto Kind = static_cast<ObjectiveKind>(I);
+    EXPECT_EQ(makeObjective(Kind, Model)->name(),
+              ObjectiveKindNames.name(Kind));
+  }
+}
+
+TEST(EnumTableTest, InjectionSiteSpellingsAreUnchanged) {
+  // BALIGN_FAULT and BALIGN_CRASH specs name sites by these spellings.
+  EXPECT_EQ(FaultSiteNames.choices(),
+            "profile.parse, tsp.transform, tsp.solve, align.greedy, "
+            "pool.task, cache.load, cache.flush, serve.frame, align.chain, "
+            "journal.append, client.connect, or displace.fixpoint");
+  EXPECT_EQ(CrashSiteNames.choices(),
+            "cache.tmp-write, cache.pre-rename, cache.post-rename, "
+            "checkpoint.append, serve.response, or pool.task");
+  for (size_t I = 0; I != NumCrashSites; ++I) {
+    auto Site = static_cast<CrashSite>(I);
+    std::optional<CrashSite> Back = crashSiteByName(crashSiteName(Site));
+    ASSERT_TRUE(Back.has_value()) << crashSiteName(Site);
+    EXPECT_EQ(*Back, Site);
+  }
+  EXPECT_FALSE(crashSiteByName("not.a.site").has_value());
+  EXPECT_EQ(faultSiteByName("tsp.transform"), FaultSite::TspTransform);
 }
 
 TEST(EnumTableTest, ChoicesReadAsAnEnglishList) {
